@@ -22,7 +22,6 @@ from .extraction import (
     Candidate,
     CategoryEquals,
     ExtractionConfig,
-    GrownInterval,
     Interval,
     Rule,
     RuleSet,
@@ -70,7 +69,6 @@ __all__ = [
     "Candidate",
     "CategoryEquals",
     "ExtractionConfig",
-    "GrownInterval",
     "Interval",
     "Rule",
     "RuleSet",

@@ -29,7 +29,6 @@ from .attribution import (
     scan_threshold,
     to_feature_sequences,
 )
-from .binning import grid_counts, make_grids, merge_grids
 from .errors import (
     ConfigError,
     DegenerateFeatureError,
@@ -50,9 +49,10 @@ from .errors import (
 )
 from .extraction import (
     ExtractionConfig,
+    count_ratios,
     extract_local,
     extract_rule_sets,
-    grid_ratios,
+    numeric_histogram,
     select_best,
 )
 from .itemsets import fp_growth, pick_feature_set
@@ -62,6 +62,8 @@ from .tabular import (
     CATEGORICAL,
     NUMERIC,
     DataTable,
+    FeatureColumn,
+    TargetIndicator,
     load_csv,
     make_target,
     roc_threshold,
@@ -212,16 +214,22 @@ def _build_target(settings: _Settings, table: DataTable):
         target = make_target(col.values, float(threshold), target_label=target_class)
         features = table.drop([pred_col])
     else:
-        col = table.column(target_col)
-        if col.kind == NUMERIC:
-            flags = col.values == float(target_class)
-        else:
-            flags = np.array([v == target_class for v in col.values], dtype=bool)
-        from .tabular import TargetIndicator
-
+        flags = _class_flags(table.column(target_col), target_class)
         target = TargetIndicator(flags=flags, target_label=target_class)
         features = table.drop([target_col])
     return target, features
+
+
+def _class_flags(col: FeatureColumn, label: str) -> np.ndarray:
+    """Rows of a label column that hold class ``label``."""
+    if col.kind == CATEGORICAL:
+        return col.equals_mask(label)
+    try:
+        return col.values == float(label)
+    except ValueError:
+        raise ConfigError(
+            f"class {label!r} is not a number but column {col.name!r} is numeric"
+        ) from None
 
 
 def _feature_indices(settings: _Settings, table: DataTable) -> list[int]:
@@ -263,7 +271,8 @@ def _config_echo(config: ExtractionConfig) -> dict:
 
 
 def _root_histograms(table, target, feature_indices, config) -> list[dict]:
-    """Unconditioned merged ratio histograms, for external plotting."""
+    """Unconditioned histograms of the search, for external plotting; ratios
+    are the exact ratios rounded once to float."""
     cond = np.ones(table.n_rows, dtype=bool)
     out = []
     for f in feature_indices:
@@ -271,33 +280,14 @@ def _root_histograms(table, target, feature_indices, config) -> list[dict]:
         entry: dict = {"feature": col.name}
         try:
             if col.kind == NUMERIC:
-                vals = col.values
-                edges = make_grids(
-                    vals[~np.isnan(vals)], config.n_grids, config.strategy, config.seed
-                )
-                hist = merge_grids(grid_counts(edges, vals, target.flags, cond, f))
-                entry.update(
-                    edges=[float(e) for e in hist.edges],
-                    target_counts=list(hist.target_counts),
-                    total_counts=list(hist.total_counts),
-                    ratios=[float(r) for r in grid_ratios(hist)],
-                )
+                hist = numeric_histogram(col, target.flags, cond, config, f)
+                tc, nc = list(hist.target_counts), list(hist.total_counts)
+                entry["edges"] = [float(e) for e in hist.edges]
             else:
-                cats = sorted({v for v in col.values if v is not None})
-                tc, nc, ratios = [], [], []
-                t_all = int(target.flags.sum())
-                for tok in cats:
-                    m = np.array([v == tok for v in col.values], dtype=bool)
-                    n = int(m.sum())
-                    t = int((m & target.flags).sum())
-                    nc.append(n)
-                    tc.append(t)
-                    ratios.append(
-                        (t / t_all) / (n / table.n_rows) if n and t_all else 0.0
-                    )
-                entry.update(
-                    categories=cats, target_counts=tc, total_counts=nc, ratios=ratios
-                )
+                tc, nc = col.category_counts(cond & target.flags), col.category_counts(cond)
+                entry["categories"] = col.vocabulary
+            ratios = count_ratios(tc, nc, table.n_rows, target.count)
+            entry.update(target_counts=tc, total_counts=nc, ratios=list(map(float, ratios)))
         except DegenerateFeatureError as exc:
             entry["skipped"] = str(exc)
         out.append(entry)
@@ -460,11 +450,7 @@ def _cmd_threshold(settings: _Settings) -> int:
     if pred.kind != NUMERIC:
         raise SchemaError("prediction column must be numeric")
     label_col = table.column(settings.get("label_column", required=True))
-    label_class = settings.get("label_class", "1")
-    if label_col.kind == NUMERIC:
-        labels = label_col.values == float(label_class)
-    else:
-        labels = np.array([v == label_class for v in label_col.values], dtype=bool)
+    labels = _class_flags(label_col, settings.get("label_class", "1"))
     t = roc_threshold(pred.values, labels)
     _emit({"threshold": t}, settings.get("out"))
     return 0

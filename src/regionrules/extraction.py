@@ -27,7 +27,7 @@ from .errors import (
     SchemaError,
     ZeroSupportError,
 )
-from .tabular import CATEGORICAL, NUMERIC, DataTable, TargetIndicator
+from .tabular import CATEGORICAL, NUMERIC, DataTable, FeatureColumn, target_flags
 
 _NO_SAMPLE = object()
 
@@ -143,7 +143,7 @@ def rule_mask(table: DataTable, rule: Rule) -> np.ndarray:
         return ~np.isnan(vals) & (vals >= rule.predicate.lo) & (vals <= rule.predicate.hi)
     if col.kind != CATEGORICAL:
         raise SchemaError(f"category rule on non-categorical column {col.name!r}")
-    return np.array([v == rule.predicate.token for v in col.values], dtype=bool)
+    return col.equals_mask(rule.predicate.token)
 
 
 def rule_set_mask(table: DataTable, rules: Iterable[Rule]) -> np.ndarray:
@@ -153,32 +153,50 @@ def rule_set_mask(table: DataTable, rules: Iterable[Rule]) -> np.ndarray:
     return mask
 
 
-def _target_flags(target) -> np.ndarray:
-    if isinstance(target, TargetIndicator):
-        return target.flags
-    return np.asarray(target, dtype=bool)
-
-
 # ---------------------------------------------------------------------------
-# Grid ratios, peaks, interval growth
+# Histograms, ratios, peaks, interval growth
+
+
+def numeric_histogram(
+    col: FeatureColumn,
+    flags: np.ndarray,
+    cond: np.ndarray,
+    config: ExtractionConfig,
+    feature: int,
+) -> GridHistogram:
+    """Merged grid histogram of a numeric feature over the condition rows."""
+    vals = col.values
+    edges = make_grids(
+        vals[cond & ~np.isnan(vals)], config.n_grids, config.strategy, config.seed
+    )
+    return merge_grids(grid_counts(edges, vals, flags, cond, feature=feature))
+
+
+def count_ratios(
+    target_counts: Sequence[int],
+    total_counts: Sequence[int],
+    condition_total: int,
+    condition_target: int,
+) -> list[Fraction]:
+    """Per-bin probability ratio (target share over overall share), exactly.
+
+    Empty bins get ratio 0 by convention.
+    """
+    if condition_target < 1:
+        raise NoTargetError("no target rows satisfy the conditioning rules")
+    if condition_total < 1:
+        raise NoTargetError("no rows satisfy the conditioning rules")
+    return [
+        Fraction(t * condition_total, n * condition_target) if n else Fraction(0)
+        for t, n in zip(target_counts, total_counts)
+    ]
 
 
 def grid_ratios(hist: GridHistogram) -> list[Fraction]:
-    """Per-grid probability ratio (target share over overall share), exactly.
-
-    Empty grids get ratio 0 by convention.
-    """
-    if hist.condition_target < 1:
-        raise NoTargetError("no target rows satisfy the conditioning rules")
-    if hist.condition_total < 1:
-        raise NoTargetError("no rows satisfy the conditioning rules")
-    out = []
-    for t, n in zip(hist.target_counts, hist.total_counts):
-        if n == 0:
-            out.append(Fraction(0))
-        else:
-            out.append(Fraction(t * hist.condition_total, n * hist.condition_target))
-    return out
+    """Per-grid :func:`count_ratios` of a histogram."""
+    return count_ratios(
+        hist.target_counts, hist.total_counts, hist.condition_total, hist.condition_target
+    )
 
 
 def find_peaks(ratios: Sequence[Fraction]) -> list[int]:
@@ -224,9 +242,7 @@ def gen_feature_interval(
         raise DomainError(f"peak grid {peak} out of range for {g} grids")
     tc, nc = hist.target_counts, hist.total_counts
     ct, cn = hist.condition_target, hist.condition_total
-    ratios = [
-        Fraction(t * cn, n * ct) if n else Fraction(0) for t, n in zip(tc, nc)
-    ]
+    ratios = count_ratios(tc, nc, cn, ct)
 
     lo = hi = peak
     cur_t, cur_n = tc[peak], nc[peak]
@@ -301,13 +317,11 @@ def _screen_interval(
     vals: np.ndarray,
     flags: np.ndarray,
     cond: np.ndarray,
-    edges: Sequence[float],
+    hist: GridHistogram,
     grown: GrownInterval,
-    cond_total: int,
-    cond_target: int,
     min_support: int,
 ) -> Candidate | None:
-    """Re-evaluate a grown grid range as a closed interval and screen it.
+    """Re-evaluate a grown grid range of ``hist`` as a closed interval; screen it.
 
     The emitted rule is the inclusive interval [edges[lo], edges[hi+1]], so
     counts are recomputed from that predicate (they can pick up rows sitting
@@ -315,14 +329,14 @@ def _screen_interval(
     the support floor with a ratio above 1. This keeps cached statistics
     identical to any later re-evaluation of the emitted rule.
     """
-    lo = float(edges[grown.lo_grid])
-    hi = float(edges[grown.hi_grid + 1])
+    lo = float(hist.edges[grown.lo_grid])
+    hi = float(hist.edges[grown.hi_grid + 1])
     pm = cond & ~np.isnan(vals) & (vals >= lo) & (vals <= hi)
     n = int(pm.sum())
     tp = int((pm & flags).sum())
     if n < min_support or n == 0:
         return None
-    ratio = Fraction(tp * cond_total, n * cond_target)
+    ratio = Fraction(tp * hist.condition_total, n * hist.condition_target)
     if ratio <= 1:
         return None
     return Candidate(
@@ -342,15 +356,8 @@ def _numeric_candidates(
     sample_value=_NO_SAMPLE,
 ) -> list[Candidate]:
     col = table.column(feature)
-    vals = col.values
-    present = ~np.isnan(vals)
-    edges = make_grids(
-        vals[cond & present], config.n_grids, config.strategy, config.seed
-    )
-    hist = grid_counts(edges, vals, flags, cond, feature=feature)
-    merged = merge_grids(hist)
+    merged = numeric_histogram(col, flags, cond, config, feature)
     ratios = grid_ratios(merged)
-    cond_total, cond_target = merged.condition_total, merged.condition_target
 
     grown: dict[tuple[int, int], GrownInterval] = {}
     for p in find_peaks(ratios):
@@ -377,20 +384,11 @@ def _numeric_candidates(
     out = []
     for res in grown.values():
         cand = _screen_interval(
-            feature,
-            vals,
-            flags,
-            cond,
-            merged.edges,
-            res,
-            cond_total,
-            cond_target,
-            config.min_support,
+            feature, col.values, flags, cond, merged, res, config.min_support
         )
         if cand is not None:
             out.append(cand)
-    out.sort(key=Candidate._order_key)
-    return out[: config.max_branches]
+    return out
 
 
 def _categorical_candidates(
@@ -402,36 +400,25 @@ def _categorical_candidates(
     sample_value=_NO_SAMPLE,
 ) -> list[Candidate]:
     col = table.column(feature)
-    vals = col.values
-    cond_total = int(cond.sum())
-    cond_target = int((cond & flags).sum())
-    if cond_target < 1:
-        raise NoTargetError("no target rows satisfy the conditioning rules")
-
-    tokens = sorted({v for v in vals[cond] if v is not None})
+    hit = cond & flags
+    tc, nc = col.category_counts(hit), col.category_counts(cond)
+    ratios = count_ratios(tc, nc, int(cond.sum()), int(hit.sum()))
+    codes = range(len(nc))
     if sample_value is not _NO_SAMPLE:
-        tokens = [t for t in tokens if t == sample_value]
+        k = col.code_of(sample_value)
+        codes = [k] if k >= 0 else []
 
-    out = []
-    for tok in tokens:
-        pm = cond & np.array([v == tok for v in vals], dtype=bool)
-        n = int(pm.sum())
-        tp = int((pm & flags).sum())
-        if n < config.min_support or n == 0:
-            continue
-        ratio = Fraction(tp * cond_total, n * cond_target)
-        if ratio <= 1:
-            continue
-        out.append(
-            Candidate(
-                rule=Rule(feature=feature, predicate=CategoryEquals(tok)),
-                ratio=ratio,
-                support=n,
-                tp=tp,
-            )
+    vocab = col.vocabulary
+    return [
+        Candidate(
+            rule=Rule(feature=feature, predicate=CategoryEquals(vocab[k])),
+            ratio=ratios[k],
+            support=nc[k],
+            tp=tc[k],
         )
-    out.sort(key=Candidate._order_key)
-    return out[: config.max_branches]
+        for k in codes
+        if nc[k] >= config.min_support and ratios[k] > 1
+    ]
 
 
 def get_candidate_rules(
@@ -451,15 +438,16 @@ def get_candidate_rules(
     intervals covering) the sample's grid and categorical candidates are
     restricted to the sample's category.
     """
-    flags = _target_flags(target)
+    flags = target_flags(target)
     cond = np.asarray(condition_mask, dtype=bool)
     if not cond.any():
         raise ConfigError("condition mask selects no rows")
     col = table.column(feature)
     feature_idx = table.column_index(col.name)
-    if col.kind == NUMERIC:
-        return _numeric_candidates(table, flags, feature_idx, cond, config, sample_value)
-    return _categorical_candidates(table, flags, feature_idx, cond, config, sample_value)
+    build = _numeric_candidates if col.kind == NUMERIC else _categorical_candidates
+    out = build(table, flags, feature_idx, cond, config, sample_value)
+    out.sort(key=Candidate._order_key)
+    return out[: config.max_branches]
 
 
 # ---------------------------------------------------------------------------
@@ -516,27 +504,19 @@ def _add_rules(
         )
 
 
-def _collect_rule_sets(
-    root: RuleTreeNode, target_count: int, table_rows: int
-) -> list[RuleSet]:
+def _collect_rule_sets(root: RuleTreeNode) -> list[RuleSet]:
+    # the root covers every row and every target row
+    target_count, table_rows = root.tp, len(root.mask)
     out: list[RuleSet] = []
 
     def walk(node: RuleTreeNode, rules: tuple[Rule, ...], ratios: tuple[Fraction, ...]):
         for child in node.children:
             crules = rules + (child.rule,)
             cratios = ratios + (child.ratio,)
-            out.append(
-                RuleSet(
-                    rules=crules,
-                    stats=RuleStats(
-                        support=int(child.mask.sum()),
-                        tp=child.tp,
-                        target_count=target_count,
-                        table_rows=table_rows,
-                        step_ratios=cratios,
-                    ),
-                )
+            stats = RuleStats(
+                int(child.mask.sum()), child.tp, target_count, table_rows, cratios
             )
+            out.append(RuleSet(rules=crules, stats=stats))
             walk(child, crules, cratios)
 
     walk(root, (), ())
@@ -564,7 +544,7 @@ def build_rule_tree(
     samples: Mapping[int, object] | None = None,
 ) -> RuleTreeNode:
     """Run the K-branch search and return the root of the explored tree."""
-    flags = _target_flags(target)
+    flags = target_flags(target)
     if len(flags) != table.n_rows:
         raise SchemaError("target indicator length does not match the table")
     features = frozenset(int(f) for f in feature_set)
@@ -616,10 +596,8 @@ def extract_rule_sets(
     equivalent conjunctions reached along different branches are reported
     once.
     """
-    flags = _target_flags(target)
     root = build_rule_tree(table, target, feature_set, config)
-    sets = _collect_rule_sets(root, int(flags.sum()), table.n_rows)
-    sets = _dedupe(sets)
+    sets = _dedupe(_collect_rule_sets(root))
     sets.sort(key=_final_order)
     return sets
 
@@ -638,11 +616,9 @@ def extract_local(
     value sits outside the observed range; categorical rules must equal the
     sample's category. Returns ``None`` when no valid rules exist.
     """
-    flags = _target_flags(target)
     samples = {int(k): v for k, v in sample.items()}
     root = build_rule_tree(table, target, feature_set, config, samples=samples)
-    sets = _collect_rule_sets(root, int(flags.sum()), table.n_rows)
-    sets = _dedupe(sets)
+    sets = _dedupe(_collect_rule_sets(root))
     if not sets:
         return None
     return select_best(sets, config.min_confidence)

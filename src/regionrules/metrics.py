@@ -15,17 +15,11 @@ import numpy as np
 from .errors import NoTargetError, ZeroSupportError
 from .extraction import CategoryEquals, Rule, RuleSet, rule_set_mask
 from .serialize import rule_to_dict
-from .tabular import NUMERIC, DataTable, TargetIndicator
+from .tabular import NUMERIC, DataTable, target_flags
 
 
 def _rules_of(rule_set) -> Sequence[Rule]:
     return rule_set.rules if isinstance(rule_set, RuleSet) else tuple(rule_set)
-
-
-def _flags_of(target) -> np.ndarray:
-    if isinstance(target, TargetIndicator):
-        return target.flags
-    return np.asarray(target, dtype=bool)
 
 
 def support(table: DataTable, rule_set) -> int:
@@ -39,12 +33,12 @@ def confidence(table: DataTable, target, rule_set) -> float:
     n = int(mask.sum())
     if n == 0:
         raise ZeroSupportError("rule set is satisfied by no row")
-    return int((mask & _flags_of(target)).sum()) / n
+    return int((mask & target_flags(target)).sum()) / n
 
 
 def fitness(table: DataTable, target, rule_set) -> float:
     """(covered target rows - covered non-target rows) / target subgroup size."""
-    flags = _flags_of(target)
+    flags = target_flags(target)
     target_count = int(flags.sum())
     if target_count == 0:
         raise NoTargetError("target subgroup is empty")
@@ -72,7 +66,7 @@ class EvaluationReport:
 
 def evaluate(table: DataTable, target, rule_sets) -> EvaluationReport:
     """Recompute support/confidence/fitness for each rule set from scratch."""
-    flags = _flags_of(target)
+    flags = target_flags(target)
     target_count = int(flags.sum())
     if target_count == 0:
         raise NoTargetError("target subgroup is empty")

@@ -25,12 +25,15 @@ def rule_to_dict(table: DataTable, rule: Rule) -> dict:
 
 
 def rule_from_dict(table: DataTable, d: dict) -> Rule:
-    feature = table.column_index(d["feature"])
-    op = d.get("op")
-    if op == "in_interval":
-        return Rule(feature=feature, predicate=Interval(float(d["lo"]), float(d["hi"])))
-    if op == "eq":
-        return Rule(feature=feature, predicate=CategoryEquals(d["value"]))
+    try:
+        feature = table.column_index(d["feature"])
+        op = d.get("op")
+        if op == "in_interval":
+            return Rule(feature, Interval(float(d["lo"]), float(d["hi"])))
+        if op == "eq":
+            return Rule(feature, CategoryEquals(d["value"]))
+    except (KeyError, TypeError, ValueError):
+        raise SchemaError(f"malformed rule {d!r}") from None
     raise SchemaError(f"unknown rule op {op!r}")
 
 
@@ -45,4 +48,6 @@ def rule_set_to_dict(table: DataTable, rs: RuleSet) -> dict:
 
 
 def rules_from_dict(table: DataTable, d: dict) -> tuple[Rule, ...]:
+    if not isinstance(d, dict) or "rules" not in d:
+        raise SchemaError(f"rule set {d!r} has no 'rules' list")
     return tuple(rule_from_dict(table, r) for r in d["rules"])

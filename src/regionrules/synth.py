@@ -18,7 +18,7 @@ import numpy as np
 from .binning import make_grids
 from .errors import EmptyResultError, SpecError, TooLargeError
 from .extraction import CategoryEquals, Interval, Rule, RuleSet, RuleStats
-from .tabular import NUMERIC, DataTable, FeatureColumn, TargetIndicator
+from .tabular import NUMERIC, DataTable, FeatureColumn, TargetIndicator, target_flags
 
 
 @dataclass(frozen=True)
@@ -157,9 +157,7 @@ def brute_force_best(
     categorical features, over all feature subsets of size <= l_max. Guarded
     to <= 3 features, n_g <= 8, l_max <= 2.
     """
-    from .extraction import _target_flags
-
-    flags = _target_flags(target)
+    flags = target_flags(target)
     n_features = len(table.columns)
     if n_features > 3 or n_g > 8 or l_max > 2:
         raise TooLargeError(
@@ -184,10 +182,8 @@ def brute_force_best(
                     mask = present & (vals >= edges[a]) & (vals <= edges[b + 1])
                     options.append((rule, mask))
         else:
-            for tok in sorted({v for v in col.values if v is not None}):
-                rule = Rule(f, CategoryEquals(tok))
-                mask = np.array([v == tok for v in col.values], dtype=bool)
-                options.append((rule, mask))
+            for tok in col.vocabulary:
+                options.append((Rule(f, CategoryEquals(tok)), col.equals_mask(tok)))
         per_feature.append(options)
 
     best: tuple | None = None

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -51,10 +52,48 @@ class FeatureColumn:
     def missing_mask(self) -> np.ndarray:
         if self.kind == NUMERIC:
             return np.isnan(self.values)
-        return np.array([v is None for v in self.values], dtype=bool)
+        return self.codes < 0
 
-    def present_mask(self) -> np.ndarray:
-        return ~self.missing_mask()
+    @cached_property
+    def _encoding(self) -> tuple[dict, np.ndarray]:
+        # the one pass over a categorical column's values; built on first use
+        if self.kind != CATEGORICAL:
+            raise SchemaError(f"column {self.name!r} is not categorical")
+        values = self.values.tolist()
+        index = {v: k for k, v in enumerate(sorted(set(values) - {None}))}
+        codes = np.array([index.get(v, -1) for v in values], dtype=np.int32)
+        codes.setflags(write=False)  # shared by every caller
+        return index, codes
+
+    @property
+    def vocabulary(self) -> list:
+        """Distinct non-missing categories, in ``sorted`` order."""
+        return list(self._encoding[0])
+
+    @property
+    def codes(self) -> np.ndarray:
+        """Per-row int32 position in :attr:`vocabulary`; missing rows are -1."""
+        return self._encoding[1]
+
+    def code_of(self, token) -> int:
+        """Vocabulary position of ``token`` by ``==``; -1 for None, unhashable
+        values and anything else that names no category."""
+        try:
+            return -1 if token is None else self._encoding[0].get(token, -1)
+        except TypeError:
+            return -1
+
+    def equals_mask(self, token) -> np.ndarray:
+        """Rows whose category equals ``token``; missing rows never match."""
+        k = self.code_of(token)
+        if k < 0:
+            return np.zeros(len(self.values), dtype=bool)
+        return self.codes == k
+
+    def category_counts(self, mask: np.ndarray) -> list[int]:
+        """Rows under ``mask`` per vocabulary entry (missing rows not counted)."""
+        counts = np.bincount(self.codes[mask] + 1, minlength=len(self._encoding[0]) + 1)
+        return counts[1:].tolist()
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,9 +139,6 @@ class DataTable:
         gone = set(names)
         return DataTable(tuple(c for c in self.columns if c.name not in gone))
 
-    def select(self, names: Sequence[str]) -> "DataTable":
-        return DataTable(tuple(self.column(n) for n in names))
-
     def numeric_matrix(self, names: Sequence[str] | None = None) -> np.ndarray:
         """Stack numeric columns into an (n_rows, d) float matrix."""
         if names is None:
@@ -144,6 +180,13 @@ class TargetIndicator:
 
     def __len__(self) -> int:
         return len(self.flags)
+
+
+def target_flags(target) -> np.ndarray:
+    """Boolean row flags of a :class:`TargetIndicator` or any boolean sequence."""
+    if isinstance(target, TargetIndicator):
+        return target.flags
+    return np.asarray(target, dtype=bool)
 
 
 def load_csv(

@@ -59,6 +59,11 @@ def brute_force_itemsets(transactions, c_min: int, k_max: int) -> dict:
     return out
 
 
+def per_row_equals(col, token) -> np.ndarray:
+    """Category match by a per-row ``==`` scan, the reference for the codes."""
+    return np.array([v == token for v in col.values], dtype=bool)
+
+
 def qual_count(scores: np.ndarray, threshold: float, gamma: float) -> int:
     """Brute-force count of features meeting the coverage requirement."""
     import math

@@ -121,6 +121,17 @@ class TestExtract:
         assert payload["candidates"] == []
         assert payload["best"] is None
 
+    def test_word_target_class_on_numeric_label_is_a_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "extract", "--data", FIXTURES / "two_mode.csv",
+            "--target-column", "label", "--target-class", "yes",
+            "--min-support", "150", "--max-rules", "1",
+        )
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "ConfigError"
+
     def test_zero_max_rules_is_a_usage_error(self, capsys):
         code, _, err = run(
             capsys, "extract", "--data", FIXTURES / "two_mode.csv",
@@ -276,6 +287,36 @@ class TestEvaluate:
             assert s["fitness"] == r["fitness"]
 
 
+    @pytest.fixture()
+    def missing_group_csv(self, tmp_path):
+        rows = ["A,1", "A,1", "B,0", ",1", ",0", "B,1"]
+        data = tmp_path / "g.csv"
+        data.write_text("group,label\n" + "\n".join(rows) + "\n")
+        return data
+
+    def evaluate(self, capsys, data, rule):
+        rules = data.parent / "rules.json"
+        rules.write_text(json.dumps([{"rules": [rule]}]))
+        return run(
+            capsys, "evaluate", "--data", data, "--schema", "group:categorical",
+            "--target-column", "label", "--rules", rules,
+        )
+
+    def test_null_category_does_not_count_missing_rows(self, missing_group_csv, capsys):
+        rule = {"feature": "group", "op": "eq", "value": None}
+        code, _, err = self.evaluate(capsys, missing_group_csv, rule)
+        assert code == 2
+        assert json.loads(err)["error"] == "ZeroSupportError"
+
+    @pytest.mark.parametrize("key", ["feature", "value"])
+    def test_rule_without_a_field_is_a_data_error(self, missing_group_csv, capsys, key):
+        rule = {"feature": "group", "op": "eq", "value": "A"}
+        del rule[key]
+        code, _, err = self.evaluate(capsys, missing_group_csv, rule)
+        assert code == 2
+        assert json.loads(err)["error"] == "SchemaError"
+
+
 class TestThreshold:
     def test_roc_threshold(self, tmp_path, capsys):
         data = tmp_path / "p.csv"
@@ -286,6 +327,18 @@ class TestThreshold:
         )
         assert code == 0
         assert json.loads(out)["threshold"] == 0.5
+
+    def test_word_label_class_on_numeric_label_is_a_usage_error(self, tmp_path, capsys):
+        data = tmp_path / "p.csv"
+        data.write_text("p,y\n0.1,0\n0.4,0\n0.6,1\n0.9,1\n")
+        code, out, err = run(
+            capsys, "threshold", "--data", data, "--prediction-column", "p",
+            "--label-column", "y", "--label-class", "yes",
+        )
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "ConfigError"
 
 
 class TestSynth:

@@ -67,3 +67,24 @@ def test_unknown_feature_rejected(mixed_table):
         rule_from_dict(
             mixed_table, {"feature": "bmi", "op": "in_interval", "lo": 0, "hi": 1}
         )
+
+
+@pytest.mark.parametrize(
+    "d",
+    [
+        {"op": "in_interval", "lo": 0, "hi": 1},
+        {"feature": "age", "op": "in_interval", "hi": 1},
+        {"feature": "age", "op": "in_interval", "lo": 0},
+        {"feature": "sex", "op": "eq"},
+        {"feature": "age", "op": "in_interval", "lo": "low", "hi": 1},
+        "age",
+    ],
+)
+def test_malformed_rule_is_a_schema_error(mixed_table, d):
+    with pytest.raises(SchemaError):
+        rule_from_dict(mixed_table, d)
+
+
+def test_rule_set_without_rules_is_a_schema_error(mixed_table):
+    with pytest.raises(SchemaError):
+        rules_from_dict(mixed_table, {"support": 2})
