@@ -15,6 +15,9 @@ import numpy as np
 from .errors import ConfigError, DegenerateFeatureError
 
 STRATEGIES = ("uniform", "kmeans", "quantile")
+# Most grids per feature: merging is quadratic in the grid count, and the
+# edges of a huge count would not fit in memory.
+MAX_GRIDS = 1000
 
 
 @dataclass(frozen=True)
@@ -60,27 +63,34 @@ def make_grids(values, n_g: int, strategy: str = "uniform", seed: int = 0) -> np
     """Build ``n_g`` grid edges over the non-missing values of one feature.
 
     Returns a strictly ascending edge array spanning [min, max]; duplicate
-    edges are collapsed so fewer than ``n_g`` grids may come back.
+    edges are collapsed so fewer than ``n_g`` grids may come back. ``kmeans``
+    seeds from the values in the order given.
     """
     if n_g < 2:
         raise ConfigError(f"n_g must be >= 2, got {n_g}")
+    if n_g > MAX_GRIDS:
+        raise ConfigError(f"n_g must be <= {MAX_GRIDS}, got {n_g}")
     if strategy not in STRATEGIES:
         raise ConfigError(f"unknown binning strategy {strategy!r}")
     vals = np.asarray(values, dtype=np.float64)
-    vals = vals[~np.isnan(vals)]
-    distinct = np.unique(vals)
-    if len(distinct) < 2:
+    missing = np.isnan(vals)
+    vals = vals[~missing] if missing.any() else vals
+    lo, hi = (float(vals.min()), float(vals.max())) if len(vals) else (0.0, 0.0)
+    if strategy == "kmeans":
+        n_distinct = len(np.unique(vals))
+    else:  # only the range matters: 0, 1 or at least 2 distinct values
+        n_distinct = min(len(vals), 1 + (lo < hi))
+    if n_distinct < 2:
         raise DegenerateFeatureError(
-            f"need at least 2 distinct values to bin, got {len(distinct)}"
+            f"need at least 2 distinct values to bin, got {n_distinct}"
         )
-    lo, hi = float(distinct[0]), float(distinct[-1])
 
     if strategy == "uniform":
         edges = np.linspace(lo, hi, n_g + 1)
     elif strategy == "quantile":
         edges = np.quantile(vals, np.linspace(0.0, 1.0, n_g + 1))
     else:
-        centers = _kmeans_1d(vals, min(n_g, len(distinct)), seed)
+        centers = _kmeans_1d(vals, min(n_g, n_distinct), seed)
         inner = (centers[:-1] + centers[1:]) / 2.0
         edges = np.concatenate(([lo], inner, [hi]))
 
@@ -123,6 +133,28 @@ def _kmeans_1d(values: np.ndarray, k: int, seed: int) -> np.ndarray:
     return centers
 
 
+def sorted_grid_counts(
+    edges, s, st, feature: int, condition_total: int, condition_target: int
+) -> GridHistogram:
+    """:func:`grid_counts` from ``s`` and ``st``, the ascending present values
+    of the condition rows and of its target rows."""
+    edges = np.asarray(edges, dtype=np.float64)
+
+    def per_grid(ascending: np.ndarray) -> np.ndarray:
+        bounds = np.searchsorted(ascending, edges)
+        bounds[-1] = np.searchsorted(ascending, edges[-1], side="right")
+        return np.diff(bounds)
+
+    return GridHistogram(
+        edges=tuple(edges),
+        target_counts=tuple(per_grid(st)),
+        total_counts=tuple(per_grid(s)),
+        feature=feature,
+        condition_total=condition_total,
+        condition_target=condition_target,
+    )
+
+
 def grid_counts(
     edges,
     feature_values,
@@ -135,25 +167,13 @@ def grid_counts(
     Rows missing the feature are skipped; values exactly equal to the top
     edge land in the last grid.
     """
-    edges = np.asarray(edges, dtype=np.float64)
     vals = np.asarray(feature_values, dtype=np.float64)
     target = np.asarray(target_flags, dtype=bool)
     cond = np.asarray(condition_mask, dtype=bool)
-    n_grids = len(edges) - 1
-
-    usable = cond & ~np.isnan(vals) & (vals >= edges[0]) & (vals <= edges[-1])
-    idx = np.searchsorted(edges, vals[usable], side="right") - 1
-    idx = np.minimum(idx, n_grids - 1)  # top-edge values belong to the last grid
-    totals = np.bincount(idx, minlength=n_grids)
-    targets = np.bincount(idx[target[usable]], minlength=n_grids)
-    return GridHistogram(
-        edges=tuple(edges),
-        target_counts=tuple(int(x) for x in targets),
-        total_counts=tuple(int(x) for x in totals),
-        feature=feature,
-        condition_total=int(cond.sum()),
-        condition_target=int((cond & target).sum()),
-    )
+    present = cond & ~np.isnan(vals)
+    s, st = np.sort(vals[present]), np.sort(vals[present & target])
+    n, t = int(cond.sum()), int((cond & target).sum())
+    return sorted_grid_counts(edges, s, st, feature, n, t)
 
 
 def merge_grids(hist: GridHistogram) -> GridHistogram:

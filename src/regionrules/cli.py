@@ -240,9 +240,14 @@ def _feature_indices(settings: _Settings, table: DataTable) -> list[int]:
     ffile = settings.get("features_file")
     if ffile:
         payload = json.loads(Path(ffile).read_text(encoding="utf-8"))
-        names = list(payload["features"])
+        names = payload.get("features") if isinstance(payload, dict) else None
+        if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+            raise SchemaError(f'{ffile}: "features" must be a list of column names')
     if names is None:
         names = table.feature_names
+    dupes = sorted({n for n in names if names.count(n) > 1})
+    if dupes:
+        raise ConfigError(f"features listed more than once: {dupes}")
     return [table.column_index(n) for n in names]
 
 
@@ -273,18 +278,18 @@ def _config_echo(config: ExtractionConfig) -> dict:
 def _root_histograms(table, target, feature_indices, config) -> list[dict]:
     """Unconditioned histograms of the search, for external plotting; ratios
     are the exact ratios rounded once to float."""
-    cond = np.ones(table.n_rows, dtype=bool)
+    rows = np.arange(table.n_rows)
     out = []
     for f in feature_indices:
         col = table.column(f)
         entry: dict = {"feature": col.name}
         try:
             if col.kind == NUMERIC:
-                hist = numeric_histogram(col, target.flags, cond, config, f)
+                hist = numeric_histogram(col, target.flags, rows, config, f)[0]
                 tc, nc = list(hist.target_counts), list(hist.total_counts)
                 entry["edges"] = [float(e) for e in hist.edges]
             else:
-                tc, nc = col.category_counts(cond & target.flags), col.category_counts(cond)
+                tc, nc = col.category_counts(rows[target.flags]), col.category_counts(rows)
                 entry["categories"] = col.vocabulary
             ratios = count_ratios(tc, nc, table.n_rows, target.count)
             entry.update(target_counts=tc, total_counts=nc, ratios=list(map(float, ratios)))
@@ -309,10 +314,14 @@ def _cmd_select_features(settings: _Settings) -> int:
         X = table.numeric_matrix(names)
         if np.isnan(X).any():
             raise DomainError("scorer features must not contain missing values")
-        weights = settings.get("weights", required=True)
+        weights = str(settings.get("weights", required=True))
+        try:
+            weights = tuple(float(w) for w in weights.split(","))
+        except ValueError:
+            raise ConfigError(f"--weights must be numbers, got {weights!r}") from None
         scorer = DifferentiableScorer(
             kind=settings.get("scorer_kind", "logistic"),
-            weights=tuple(float(w) for w in str(weights).split(",")),
+            weights=weights,
             bias=settings.get("bias", 0.0),
         )
         if scorer.n_features != X.shape[1]:

@@ -16,7 +16,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .binning import GridHistogram, grid_counts, make_grids, merge_grids
+from .binning import MAX_GRIDS, GridHistogram, make_grids, merge_grids, sorted_grid_counts
+from .binning import grid_counts  # noqa: F401  (unused here; perfbench patches this name)
 from .errors import (
     ConfigError,
     DegenerateFeatureError,
@@ -123,6 +124,8 @@ class ExtractionConfig:
             raise ConfigError(f"max_rules must be >= 1, got {self.max_rules}")
         if self.n_grids < 2:
             raise ConfigError(f"n_grids must be >= 2, got {self.n_grids}")
+        if self.n_grids > MAX_GRIDS:
+            raise ConfigError(f"n_grids must be <= {MAX_GRIDS}, got {self.n_grids}")
         if self.max_branches < 1:
             raise ConfigError(f"max_branches must be >= 1, got {self.max_branches}")
         if self.strategy not in ("uniform", "kmeans", "quantile"):
@@ -160,16 +163,22 @@ def rule_set_mask(table: DataTable, rules: Iterable[Rule]) -> np.ndarray:
 def numeric_histogram(
     col: FeatureColumn,
     flags: np.ndarray,
-    cond: np.ndarray,
+    rows: np.ndarray,
     config: ExtractionConfig,
     feature: int,
-) -> GridHistogram:
-    """Merged grid histogram of a numeric feature over the condition rows."""
-    vals = col.values
-    edges = make_grids(
-        vals[cond & ~np.isnan(vals)], config.n_grids, config.strategy, config.seed
-    )
-    return merge_grids(grid_counts(edges, vals, flags, cond, feature=feature))
+) -> tuple[GridHistogram, np.ndarray, np.ndarray]:
+    """Merged grid histogram of a numeric feature over the ascending ``rows``,
+    with the ascending present values of those rows and of their target rows."""
+    vals = col.values[rows]
+    hit = flags[rows]
+    present = ~np.isnan(vals)
+    s, st = vals[present], vals[present & hit]
+    # kmeans seeds from the row order, so the values are sorted only afterwards
+    edges = make_grids(s, config.n_grids, config.strategy, config.seed)
+    s.sort()
+    st.sort()
+    hist = sorted_grid_counts(edges, s, st, feature, len(rows), int(hit.sum()))
+    return merge_grids(hist), s, st
 
 
 def count_ratios(
@@ -314,9 +323,8 @@ class Candidate:
 
 def _screen_interval(
     feature: int,
-    vals: np.ndarray,
-    flags: np.ndarray,
-    cond: np.ndarray,
+    s: np.ndarray,
+    st: np.ndarray,
     hist: GridHistogram,
     grown: GrownInterval,
     min_support: int,
@@ -327,13 +335,14 @@ def _screen_interval(
     counts are recomputed from that predicate (they can pick up rows sitting
     exactly on the top edge); the candidate is kept only if it still clears
     the support floor with a ratio above 1. This keeps cached statistics
-    identical to any later re-evaluation of the emitted rule.
+    identical to any later re-evaluation of the emitted rule. ``s``/``st`` are
+    as returned by :func:`numeric_histogram`.
     """
     lo = float(hist.edges[grown.lo_grid])
     hi = float(hist.edges[grown.hi_grid + 1])
-    pm = cond & ~np.isnan(vals) & (vals >= lo) & (vals <= hi)
-    n = int(pm.sum())
-    tp = int((pm & flags).sum())
+    n, tp = (
+        int(np.searchsorted(a, hi, side="right") - np.searchsorted(a, lo)) for a in (s, st)
+    )
     if n < min_support or n == 0:
         return None
     ratio = Fraction(tp * hist.condition_total, n * hist.condition_target)
@@ -351,12 +360,12 @@ def _numeric_candidates(
     table: DataTable,
     flags: np.ndarray,
     feature: int,
-    cond: np.ndarray,
+    rows: np.ndarray,
     config: ExtractionConfig,
     sample_value=_NO_SAMPLE,
 ) -> list[Candidate]:
     col = table.column(feature)
-    merged = numeric_histogram(col, flags, cond, config, feature)
+    merged, s, st = numeric_histogram(col, flags, rows, config, feature)
     ratios = grid_ratios(merged)
 
     grown: dict[tuple[int, int], GrownInterval] = {}
@@ -383,9 +392,7 @@ def _numeric_candidates(
 
     out = []
     for res in grown.values():
-        cand = _screen_interval(
-            feature, col.values, flags, cond, merged, res, config.min_support
-        )
+        cand = _screen_interval(feature, s, st, merged, res, config.min_support)
         if cand is not None:
             out.append(cand)
     return out
@@ -395,14 +402,14 @@ def _categorical_candidates(
     table: DataTable,
     flags: np.ndarray,
     feature: int,
-    cond: np.ndarray,
+    rows: np.ndarray,
     config: ExtractionConfig,
     sample_value=_NO_SAMPLE,
 ) -> list[Candidate]:
     col = table.column(feature)
-    hit = cond & flags
-    tc, nc = col.category_counts(hit), col.category_counts(cond)
-    ratios = count_ratios(tc, nc, int(cond.sum()), int(hit.sum()))
+    hit = rows[flags[rows]]
+    tc, nc = col.category_counts(hit), col.category_counts(rows)
+    ratios = count_ratios(tc, nc, len(rows), len(hit))
     codes = range(len(nc))
     if sample_value is not _NO_SAMPLE:
         k = col.code_of(sample_value)
@@ -425,7 +432,7 @@ def get_candidate_rules(
     table: DataTable,
     target,
     feature: int,
-    condition_mask,
+    condition,
     config: ExtractionConfig,
     sample_value=_NO_SAMPLE,
 ) -> list[Candidate]:
@@ -436,16 +443,18 @@ def get_candidate_rules(
     candidate. Candidates must clear the support floor with ratio > 1.
     When ``sample_value`` is given, numeric growth starts from (or keeps
     intervals covering) the sample's grid and categorical candidates are
-    restricted to the sample's category.
+    restricted to the sample's category. ``condition`` is a boolean row mask
+    or the ascending indices of the rows satisfying the rules so far.
     """
     flags = target_flags(target)
-    cond = np.asarray(condition_mask, dtype=bool)
-    if not cond.any():
+    rows = np.asarray(condition)
+    rows = np.flatnonzero(rows) if rows.dtype == bool else rows.astype(np.intp, copy=False)
+    if not len(rows):
         raise ConfigError("condition mask selects no rows")
     col = table.column(feature)
     feature_idx = table.column_index(col.name)
     build = _numeric_candidates if col.kind == NUMERIC else _categorical_candidates
-    out = build(table, flags, feature_idx, cond, config, sample_value)
+    out = build(table, flags, feature_idx, rows, config, sample_value)
     out.sort(key=Candidate._order_key)
     return out[: config.max_branches]
 
@@ -456,10 +465,10 @@ def get_candidate_rules(
 
 @dataclass(eq=False)
 class RuleTreeNode:
-    """One step of the search: the rule taken, rows still in play, and stats."""
+    """One step of the search: the rule taken and the exact counts of its path."""
 
     rule: Rule | None
-    mask: np.ndarray
+    support: int
     tp: int
     ratio: Fraction | None
     depth: int
@@ -470,6 +479,7 @@ def _add_rules(
     table: DataTable,
     flags: np.ndarray,
     node: RuleTreeNode,
+    rows: np.ndarray,
     remaining: frozenset[int],
     config: ExtractionConfig,
     samples: Mapping[int, object] | None,
@@ -480,7 +490,7 @@ def _add_rules(
     for f in sorted(remaining):
         sample_value = samples[f] if samples is not None else _NO_SAMPLE
         try:
-            cands = get_candidate_rules(table, flags, f, node.mask, config, sample_value)
+            cands = get_candidate_rules(table, flags, f, rows, config, sample_value)
         except DegenerateFeatureError:
             continue  # constant within this branch: nothing to split on
         pool.extend(cands)
@@ -488,16 +498,18 @@ def _add_rules(
     for cand in pool[: config.max_branches]:
         child = RuleTreeNode(
             rule=cand.rule,
-            mask=node.mask & rule_mask(table, cand.rule),
+            support=cand.support,
             tp=cand.tp,
             ratio=cand.ratio,
             depth=node.depth + 1,
         )
         node.children.append(child)
+        # the child's rows live only while its subtree is searched
         _add_rules(
             table,
             flags,
             child,
+            rows[rule_mask(table, cand.rule)[rows]],
             remaining - {cand.rule.feature},
             config,
             samples,
@@ -506,16 +518,14 @@ def _add_rules(
 
 def _collect_rule_sets(root: RuleTreeNode) -> list[RuleSet]:
     # the root covers every row and every target row
-    target_count, table_rows = root.tp, len(root.mask)
+    target_count, table_rows = root.tp, root.support
     out: list[RuleSet] = []
 
     def walk(node: RuleTreeNode, rules: tuple[Rule, ...], ratios: tuple[Fraction, ...]):
         for child in node.children:
             crules = rules + (child.rule,)
             cratios = ratios + (child.ratio,)
-            stats = RuleStats(
-                int(child.mask.sum()), child.tp, target_count, table_rows, cratios
-            )
+            stats = RuleStats(child.support, child.tp, target_count, table_rows, cratios)
             out.append(RuleSet(rules=crules, stats=stats))
             walk(child, crules, cratios)
 
@@ -575,12 +585,12 @@ def build_rule_tree(
 
     root = RuleTreeNode(
         rule=None,
-        mask=np.ones(table.n_rows, dtype=bool),
+        support=table.n_rows,
         tp=target_count,
         ratio=None,
         depth=0,
     )
-    _add_rules(table, flags, root, features, config, samples)
+    _add_rules(table, flags, root, np.arange(table.n_rows), features, config, samples)
     return root
 
 

@@ -91,7 +91,8 @@ class FeatureColumn:
         return self.codes == k
 
     def category_counts(self, mask: np.ndarray) -> list[int]:
-        """Rows under ``mask`` per vocabulary entry (missing rows not counted)."""
+        """Rows under ``mask`` (boolean or row indices) per vocabulary entry;
+        missing rows are not counted."""
         counts = np.bincount(self.codes[mask] + 1, minlength=len(self._encoding[0]) + 1)
         return counts[1:].tolist()
 

@@ -64,6 +64,57 @@ def per_row_equals(col, token) -> np.ndarray:
     return np.array([v == token for v in col.values], dtype=bool)
 
 
+# The mask-based numeric kernel the sorted kernel replaced, kept verbatim in
+# behaviour: every count is taken by a pass over the full-length arrays.
+
+
+def ref_make_grids(values, n_g: int, strategy: str = "uniform", seed: int = 0) -> np.ndarray:
+    """Grid edges with the range and distinct count taken from ``np.unique``."""
+    from regionrules.binning import _kmeans_1d
+    from regionrules.errors import DegenerateFeatureError
+
+    vals = np.asarray(values, dtype=np.float64)
+    vals = vals[~np.isnan(vals)]
+    distinct = np.unique(vals)
+    if len(distinct) < 2:
+        raise DegenerateFeatureError(
+            f"need at least 2 distinct values to bin, got {len(distinct)}"
+        )
+    lo, hi = float(distinct[0]), float(distinct[-1])
+    if strategy == "uniform":
+        edges = np.linspace(lo, hi, n_g + 1)
+    elif strategy == "quantile":
+        edges = np.quantile(vals, np.linspace(0.0, 1.0, n_g + 1))
+    else:
+        centers = _kmeans_1d(vals, min(n_g, len(distinct)), seed)
+        edges = np.concatenate(([lo], (centers[:-1] + centers[1:]) / 2.0, [hi]))
+    return np.unique(edges)
+
+
+def ref_grid_counts(edges, vals, flags, cond, feature: int = 0):
+    """Per-grid counts by ``searchsorted`` + ``bincount`` over the masked rows."""
+    from regionrules import GridHistogram
+
+    edges = np.asarray(edges, dtype=np.float64)
+    n_grids = len(edges) - 1
+    usable = cond & ~np.isnan(vals) & (vals >= edges[0]) & (vals <= edges[-1])
+    idx = np.minimum(np.searchsorted(edges, vals[usable], side="right") - 1, n_grids - 1)
+    return GridHistogram(
+        edges=tuple(edges),
+        target_counts=tuple(np.bincount(idx[flags[usable]], minlength=n_grids)),
+        total_counts=tuple(np.bincount(idx, minlength=n_grids)),
+        feature=feature,
+        condition_total=int(cond.sum()),
+        condition_target=int((cond & flags).sum()),
+    )
+
+
+def ref_screen_interval(vals, flags, cond, lo: float, hi: float) -> tuple[int, int]:
+    """(rows, target rows) under ``cond`` whose value lies in [lo, hi]."""
+    pm = cond & ~np.isnan(vals) & (vals >= lo) & (vals <= hi)
+    return int(pm.sum()), int((pm & flags).sum())
+
+
 def qual_count(scores: np.ndarray, threshold: float, gamma: float) -> int:
     """Brute-force count of features meeting the coverage requirement."""
     import math

@@ -71,6 +71,21 @@ class TestSelectFeatures:
         payload = json.loads(out)
         assert payload["features"] == ["a"]  # the zero-weight feature never scores
 
+    def test_non_numeric_weights_are_a_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "select-features", "--data", FIXTURES / "two_mode.csv",
+            "--weights", "a,b,c",
+        )
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "ConfigError"
+
+
+def one_error_line(err: str) -> str:
+    assert len(err.splitlines()) == 1
+    return json.loads(err)["error"]
+
 
 class TestExtract:
     def common_args(self, out):
@@ -167,6 +182,49 @@ class TestExtract:
         assert code == 0
         payload = json.loads(out.read_text())
         assert payload["features"] == ["f0", "f1"]
+
+    @pytest.mark.parametrize(
+        "payload", [{"x": 1}, {"features": "f0"}, {"features": [0]}, ["f0"]]
+    )
+    def test_features_file_without_a_features_list(self, tmp_path, capsys, payload):
+        selection = tmp_path / "sel.json"
+        selection.write_text(json.dumps(payload))
+        code, out, err = run(
+            capsys, "extract", "--data", FIXTURES / "two_mode.csv",
+            "--target-column", "label", "--features-file", selection,
+            "--min-support", "150", "--max-rules", "1",
+        )
+        assert (code, out) == (2, "")
+        assert one_error_line(err) == "SchemaError"
+
+    def test_duplicate_features_flag_is_a_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "extract", "--data", FIXTURES / "two_mode.csv",
+            "--target-column", "label", "--features", "f0,f0",
+            "--min-support", "150", "--max-rules", "1",
+        )
+        assert (code, out) == (1, "")
+        assert one_error_line(err) == "ConfigError"
+
+    def test_duplicate_features_in_a_file_are_a_usage_error(self, tmp_path, capsys):
+        selection = tmp_path / "sel.json"
+        selection.write_text(json.dumps({"features": ["f1", "f0", "f1"]}))
+        code, out, err = run(
+            capsys, "extract", "--data", FIXTURES / "two_mode.csv",
+            "--target-column", "label", "--features-file", selection,
+            "--min-support", "150", "--max-rules", "1",
+        )
+        assert (code, out) == (1, "")
+        assert one_error_line(err) == "ConfigError"
+
+    def test_n_grids_above_the_maximum_is_a_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "extract", "--data", FIXTURES / "two_mode.csv",
+            "--target-column", "label", "--n-grids", "1000000000",
+            "--min-support", "150", "--max-rules", "1",
+        )
+        assert (code, out) == (1, "")
+        assert one_error_line(err) == "ConfigError"
 
     def test_categorical_feature_and_missing_token(self, tmp_path, capsys):
         rng = np.random.default_rng(3)

@@ -321,22 +321,29 @@ class TestExtractRuleSets:
         assert best.stats.confidence == F(4, 5)
 
     def test_tree_structure_invariants(self, two_mode):
-        from regionrules.extraction import build_rule_tree
-
         table, target, _ = two_mode
         config = ExtractionConfig(min_support=150, max_rules=2, n_grids=10,
                                   max_branches=2)
-        root = build_rule_tree(table, target, [0, 1], config)
+        from regionrules.extraction import build_rule_tree, rule_set_mask
 
-        def walk(node):
+        root = build_rule_tree(table, target, [0, 1], config)
+        assert root.support == table.n_rows and root.tp == target.count
+
+        def walk(node, path):
+            # the tree keeps counts only; rows are recomputed from the rule path
+            assert not any(isinstance(v, np.ndarray) for v in vars(node).values())
             assert len(node.children) <= config.max_branches
             assert node.depth <= config.max_rules
+            mask = rule_set_mask(table, path)
             for child in node.children:
-                assert (child.mask <= node.mask).all()  # child covers a subset
+                child_mask = rule_set_mask(table, path + [child.rule])
+                assert (child_mask <= mask).all()  # child covers a subset
+                assert child.support == int(child_mask.sum())
+                assert child.tp == int((child_mask & target.flags).sum())
                 assert child.depth == node.depth + 1
-                walk(child)
+                walk(child, path + [child.rule])
 
-        walk(root)
+        walk(root, [])
         assert root.children  # the planted data always yields a first rule
 
 
