@@ -7,10 +7,10 @@ external explainers arrive as a CSV via :func:`load_importance_matrix`.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .errors import (
     ShapeError,
 )
 from .itemsets import fp_growth, pick_feature_set
+from .tabular import read_csv
 
 SCORER_KINDS = ("linear", "logistic")
 
@@ -183,24 +184,20 @@ def build_importance_matrix(
 
 def load_importance_matrix(path) -> ImportanceMatrix:
     """Read an importance matrix CSV whose header names the features."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
+    header, chunks = read_csv(path, "importance matrix file is empty")
+    blocks = [np.empty((0, len(header)))]
+    for rows, columns in chunks:
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("importance matrix file is empty") from None
-        rows = []
-        for i, row in enumerate(reader):
-            if len(row) != len(header):
-                raise ParseError(
-                    f"row {i} has {len(row)} cells, expected {len(header)}", row=i
-                )
-            try:
-                rows.append([float(c) for c in row])
-            except ValueError:
-                raise ParseError(f"unparseable number in row {i}", row=i) from None
-    scores = np.asarray(rows, dtype=np.float64).reshape(len(rows), len(header))
-    return ImportanceMatrix(scores=scores, feature_names=tuple(header))
+            cells = map(float, chain.from_iterable(columns))
+            block = np.fromiter(cells, np.float64, len(header) * len(rows))
+            blocks.append(block.reshape(len(header), len(rows)).T)
+        except ValueError:
+            for i, row in zip(rows, zip(*columns)):  # the first row with a bad cell
+                try:
+                    list(map(float, row))
+                except ValueError:
+                    raise ParseError(f"unparseable number in row {i}", row=i) from None
+    return ImportanceMatrix(scores=np.concatenate(blocks), feature_names=tuple(header))
 
 
 def _required_rows(gamma: float, n_rows: int) -> int:

@@ -168,6 +168,8 @@ def _csv_header(path: str) -> list[str]:
             return next(csv.reader(fh))
         except StopIteration:
             raise ParseError(f"{path} is empty (no header row)") from None
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise ParseError(f"{path}: {exc}") from None
 
 
 def _schema_from_settings(settings: _Settings, path: str) -> dict[str, str]:

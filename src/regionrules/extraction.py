@@ -136,17 +136,18 @@ class ExtractionConfig:
             )
 
 
-def rule_mask(table: DataTable, rule: Rule) -> np.ndarray:
-    """Rows satisfying the rule; rows missing the feature never satisfy it."""
+def rule_mask(table: DataTable, rule: Rule, rows=slice(None)) -> np.ndarray:
+    """Which of ``rows`` (default: all rows) satisfy the rule; rows missing
+    the feature never satisfy it."""
     col = table.column(rule.feature)
     if isinstance(rule.predicate, Interval):
         if col.kind != NUMERIC:
             raise SchemaError(f"interval rule on non-numeric column {col.name!r}")
-        vals = col.values
+        vals = col.values[rows]
         return ~np.isnan(vals) & (vals >= rule.predicate.lo) & (vals <= rule.predicate.hi)
     if col.kind != CATEGORICAL:
         raise SchemaError(f"category rule on non-categorical column {col.name!r}")
-    return col.equals_mask(rule.predicate.token)
+    return col.equals_mask(rule.predicate.token, rows)
 
 
 def rule_set_mask(table: DataTable, rules: Iterable[Rule]) -> np.ndarray:
@@ -509,7 +510,7 @@ def _add_rules(
             table,
             flags,
             child,
-            rows[rule_mask(table, cand.rule)[rows]],
+            rows[rule_mask(table, cand.rule, rows)],
             remaining - {cand.rule.feature},
             config,
             samples,

@@ -10,9 +10,11 @@ Tables are treated as immutable after construction.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, islice, pairwise, repeat
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -83,12 +85,12 @@ class FeatureColumn:
         except TypeError:
             return -1
 
-    def equals_mask(self, token) -> np.ndarray:
-        """Rows whose category equals ``token``; missing rows never match."""
+    def equals_mask(self, token, rows=slice(None)) -> np.ndarray:
+        """Which of ``rows`` (default: all rows) hold the category ``token``;
+        missing rows never match."""
+        codes = self.codes[rows]
         k = self.code_of(token)
-        if k < 0:
-            return np.zeros(len(self.values), dtype=bool)
-        return self.codes == k
+        return codes == k if k >= 0 else np.zeros(len(codes), dtype=bool)
 
     def category_counts(self, mask: np.ndarray) -> list[int]:
         """Rows under ``mask`` (boolean or row indices) per vocabulary entry;
@@ -190,6 +192,86 @@ def target_flags(target) -> np.ndarray:
     return np.asarray(target, dtype=bool)
 
 
+_CHUNK_ROWS = 8192  # rows whose cell strings are alive at once
+
+
+def read_csv(path, empty_message: str):
+    """Header and ``(rows, columns)`` chunks of a comma-separated UTF-8 file:
+    ``rows`` is the range of a chunk's 0-based data rows, ``columns`` one list
+    of cell strings per header name. A row of the wrong width raises
+    ParseError once the rows before it have been yielded. Undecodable bytes
+    and malformed quoting raise ParseError too."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8: {exc.reason} at byte {exc.start}") from None
+    tokens = _tokens(text, path)
+    _, header = next(tokens, (None, None))
+    if header is None:
+        raise ParseError(empty_message)
+    return header, _chunks(tokens, len(header))
+
+
+def _tokens(text: str, path):
+    """(cells per row, the cells in row order) of the header row, then of each chunk."""
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    # csv.reader splits a line on "," alone unless it is blank, longer than
+    # the field size limit or holds a quote, CR or NUL
+    if lines and "" not in lines and not any(c in text for c in '"\r\0'):
+        if max(map(len, lines)) <= csv.field_size_limit():
+            del text
+            for a, b in pairwise([0, *range(1, len(lines), _CHUNK_ROWS), len(lines)]):
+                chunk = lines[a:b]  # a line holds one cell more than it has commas
+                widths = [c + 1 for c in map(str.count, chunk, repeat(","))]
+                yield widths, ",".join(chunk).split(",")
+            return
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        for n in chain([1], repeat(_CHUNK_ROWS)):
+            if not (rows := list(islice(reader, n))):
+                return
+            yield list(map(len, rows)), list(chain.from_iterable(rows))
+    except csv.Error as exc:
+        raise ParseError(f"{path}: malformed CSV at line {reader.line_num}: {exc}") from None
+
+
+def _chunks(tokens, width: int):
+    start = 0
+    for widths, flat in tokens:
+        n = len(widths)
+        if set(widths) != {width}:
+            n = next(i for i, w in enumerate(widths) if w != width)
+            i = start + n
+            bad = ParseError(f"row {i} has {widths[n]} cells, expected {width}", row=i)
+        if n:
+            yield range(start, start + n), [flat[j : n * width : width] for j in range(width)]
+        if n < len(widths):
+            raise bad
+        start += n
+
+
+def _numeric_cells(cells: list[str], rows: range, missing: str, name: str) -> np.ndarray:
+    try:
+        vals = [math.nan if c == missing else float(c) for c in cells]
+        vals = np.fromiter(vals, np.float64, len(cells))
+        nan_rows = np.flatnonzero(np.isnan(vals)).tolist()
+        if not np.isinf(vals).any() and all(cells[i] == missing for i in nan_rows):
+            return vals
+    except ValueError:
+        pass
+    for i, cell in zip(rows, cells):  # name the first bad cell
+        try:
+            if cell == missing or math.isfinite(float(cell)):
+                continue
+            problem = f"non-finite value {cell!r}"
+        except ValueError:
+            problem = f"cannot parse {cell!r} as a number"
+        raise ParseError(f"{problem} (row {i}, column {name!r})", row=i, column=name)
+
+
 def load_csv(
     path,
     schema: Mapping[str, str],
@@ -198,62 +280,38 @@ def load_csv(
     """Read a UTF-8, comma-separated file with a header row into a DataTable.
 
     ``schema`` maps every header name to "numeric" or "categorical". Cells
-    equal to ``missing_token`` become missing markers.
+    equal to ``missing_token`` become missing markers. Of the bad cells, the
+    first one in the leftmost bad column is reported.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("file is empty (no header row)") from None
-        if len(set(header)) != len(header):
-            dupes = sorted({h for h in header if header.count(h) > 1})
-            raise SchemaError(f"duplicate header names {dupes}")
-        for name in header:
-            if name not in schema:
-                raise SchemaError(f"schema does not cover column {name!r}")
-            if schema[name] not in KINDS:
-                raise SchemaError(f"unknown kind {schema[name]!r} for column {name!r}")
-        raw: list[list[str]] = []
-        for i, row in enumerate(reader):
-            if len(row) != len(header):
-                raise ParseError(
-                    f"row {i} has {len(row)} cells, expected {len(header)}", row=i
-                )
-            raw.append(row)
-
-    columns = []
-    for j, name in enumerate(header):
-        kind = schema[name]
-        if kind == NUMERIC:
-            vals = np.empty(len(raw), dtype=np.float64)
-            for i, row in enumerate(raw):
-                cell = row[j]
-                if cell == missing_token:
-                    vals[i] = np.nan
-                    continue
-                try:
-                    v = float(cell)
-                except ValueError:
-                    raise ParseError(
-                        f"cannot parse {cell!r} as a number (row {i}, column {name!r})",
-                        row=i,
-                        column=name,
-                    ) from None
-                if not math.isfinite(v):
-                    raise ParseError(
-                        f"non-finite value {cell!r} (row {i}, column {name!r})",
-                        row=i,
-                        column=name,
-                    )
-                vals[i] = v
-        else:
-            vals = np.array(
-                [None if row[j] == missing_token else row[j] for row in raw],
-                dtype=object,
-            )
-        columns.append(FeatureColumn(name, kind, vals))
-    return DataTable(tuple(columns))
+    header, chunks = read_csv(path, "file is empty (no header row)")
+    if len(set(header)) != len(header):
+        dupes = sorted({h for h in header if header.count(h) > 1})
+        raise SchemaError(f"duplicate header names {dupes}")
+    for name in header:
+        if name not in schema:
+            raise SchemaError(f"schema does not cover column {name!r}")
+        if schema[name] not in KINDS:
+            raise SchemaError(f"unknown kind {schema[name]!r} for column {name!r}")
+    parts: list[list[np.ndarray]] = [[] for _ in header]
+    bad = []  # (column, row, ParseError), raised once every row's width is checked
+    for rows, columns in chunks:
+        for j, (name, cells) in enumerate(zip(header, columns)):
+            if schema[name] == CATEGORICAL:
+                cells = [None if c == missing_token else c for c in cells]
+                parts[j].append(np.array(cells, dtype=object))
+                continue
+            try:
+                parts[j].append(_numeric_cells(cells, rows, missing_token, name))
+            except ParseError as exc:
+                bad.append((j, exc.row, exc))
+    if bad:
+        raise min(bad, key=lambda b: b[:2])[2]
+    return DataTable(
+        tuple(
+            FeatureColumn(name, schema[name], np.concatenate(p) if p else [])
+            for name, p in zip(header, parts)
+        )
+    )
 
 
 def make_target(

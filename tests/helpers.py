@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import csv
+import math
 from fractions import Fraction
 
 import numpy as np
 
 from regionrules import DataTable, FeatureColumn, TargetIndicator
+from regionrules.attribution import ImportanceMatrix
+from regionrules.errors import ParseError, SchemaError
 from regionrules.extraction import ExtractionConfig
+from regionrules.tabular import KINDS, NUMERIC
 
 
 def numeric_table(values, name: str = "x") -> DataTable:
@@ -235,3 +240,87 @@ def two_level_instance(rng: np.random.Generator):
     s_min = int(rng.integers(1, block_n + 1))
     expected_fitness = Fraction(2 * block_t - block_n, int(flags.sum()))
     return table, target, n_g, s_min, expected_fitness
+
+
+# ---------------------------------------------------------------------------
+# The per-cell CSV readers the chunked reader replaced, kept verbatim in
+# behaviour: csv.reader over the file, every row's width checked first, then
+# one float() and one isfinite() per numeric cell, column by column.
+
+
+def ref_load_csv(path, schema, missing_token: str = "") -> DataTable:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ParseError("file is empty (no header row)") from None
+        if len(set(header)) != len(header):
+            dupes = sorted({h for h in header if header.count(h) > 1})
+            raise SchemaError(f"duplicate header names {dupes}")
+        for name in header:
+            if name not in schema:
+                raise SchemaError(f"schema does not cover column {name!r}")
+            if schema[name] not in KINDS:
+                raise SchemaError(f"unknown kind {schema[name]!r} for column {name!r}")
+        raw: list[list[str]] = []
+        for i, row in enumerate(reader):
+            if len(row) != len(header):
+                raise ParseError(
+                    f"row {i} has {len(row)} cells, expected {len(header)}", row=i
+                )
+            raw.append(row)
+
+    columns = []
+    for j, name in enumerate(header):
+        kind = schema[name]
+        if kind == NUMERIC:
+            vals = np.empty(len(raw), dtype=np.float64)
+            for i, row in enumerate(raw):
+                cell = row[j]
+                if cell == missing_token:
+                    vals[i] = np.nan
+                    continue
+                try:
+                    v = float(cell)
+                except ValueError:
+                    raise ParseError(
+                        f"cannot parse {cell!r} as a number (row {i}, column {name!r})",
+                        row=i,
+                        column=name,
+                    ) from None
+                if not math.isfinite(v):
+                    raise ParseError(
+                        f"non-finite value {cell!r} (row {i}, column {name!r})",
+                        row=i,
+                        column=name,
+                    )
+                vals[i] = v
+        else:
+            vals = np.array(
+                [None if row[j] == missing_token else row[j] for row in raw],
+                dtype=object,
+            )
+        columns.append(FeatureColumn(name, kind, vals))
+    return DataTable(tuple(columns))
+
+
+def ref_load_importance_matrix(path) -> ImportanceMatrix:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ParseError("importance matrix file is empty") from None
+        rows = []
+        for i, row in enumerate(reader):
+            if len(row) != len(header):
+                raise ParseError(
+                    f"row {i} has {len(row)} cells, expected {len(header)}", row=i
+                )
+            try:
+                rows.append([float(c) for c in row])
+            except ValueError:
+                raise ParseError(f"unparseable number in row {i}", row=i) from None
+    scores = np.asarray(rows, dtype=np.float64).reshape(len(rows), len(header))
+    return ImportanceMatrix(scores=scores, feature_names=tuple(header))

@@ -447,3 +447,53 @@ class TestUsage:
 
     def test_version(self, capsys):
         assert main(["--version"]) == 0
+
+
+class TestUnreadableCsv:
+    """Input the CSV readers cannot tokenise is a data error (exit 2, one
+    JSON line), whichever reader meets it first."""
+
+    ROWS = "".join(f"{i % 7}.5,{i % 2}\n" for i in range(20_000))  # past the header read
+
+    def write(self, tmp_path, data: bytes):
+        p = tmp_path / "in.csv"
+        p.write_bytes(data)
+        return p
+
+    def extract(self, capsys, path):
+        return run(
+            capsys, "extract", "--data", path, "--target-column", "label",
+            "--features", "f0", "--min-support", "2",
+        )
+
+    def select(self, capsys, path):
+        return run(capsys, "select-features", "--matrix", path)
+
+    @pytest.mark.parametrize("where", ["header", "body"])
+    def test_undecodable_bytes_in_data(self, tmp_path, capsys, where):
+        head = b"f0,lab\xe9l\n" if where == "header" else b"f0,label\n"
+        tail = b"" if where == "header" else b"1.5,\xe9\n"
+        body = head + self.ROWS.encode() + tail
+        code, out, err = self.extract(capsys, self.write(tmp_path, body))
+        assert (code, out) == (2, "")
+        assert one_error_line(err) == "ParseError"
+
+    def test_oversized_quoted_field_in_data(self, tmp_path, capsys):
+        body = "f0,label\n" + self.ROWS + '1.5,"' + "1" * 140_000 + '"\n'
+        code, out, err = self.extract(capsys, self.write(tmp_path, body.encode()))
+        assert (code, out) == (2, "")
+        assert one_error_line(err) == "ParseError"
+        assert "field larger than field limit" in json.loads(err)["message"]
+
+    def test_undecodable_bytes_in_matrix(self, tmp_path, capsys):
+        body = ("a,b\n" + self.ROWS).encode() + b"0.5,\xff\n"
+        code, out, err = self.select(capsys, self.write(tmp_path, body))
+        assert (code, out) == (2, "")
+        assert one_error_line(err) == "ParseError"
+        assert "not UTF-8" in json.loads(err)["message"]
+
+    def test_oversized_quoted_field_in_matrix(self, tmp_path, capsys):
+        body = "a,b\n" + self.ROWS + '0.5,"' + "1" * 140_000 + '"\n'
+        code, out, err = self.select(capsys, self.write(tmp_path, body.encode()))
+        assert (code, out) == (2, "")
+        assert one_error_line(err) == "ParseError"

@@ -1,0 +1,266 @@
+"""Parity of the chunked CSV reader with the per-cell reference readers.
+
+``load_csv`` and ``load_importance_matrix`` must give the same float bytes,
+the same categorical values and the same errors (type, message, ``row``,
+``column``) as ``helpers.ref_load_csv`` / ``ref_load_importance_matrix`` on
+any text: quoted fields, every line ending, BOM, blank lines, odd numbers and
+bad cells on either side of a chunk boundary.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from regionrules import load_csv, tabular
+from regionrules.attribution import load_importance_matrix
+from regionrules.errors import DomainError, ParseError, SchemaError
+
+from helpers import ref_load_csv, ref_load_importance_matrix
+
+CHUNK = tabular._CHUNK_ROWS
+
+# cells float() accepts as finite numbers, including forms beyond plain ASCII
+NUMBERS = ["0", "-0", "1.5", " 1.5 ", "1_000", "١٢٣", "1e-320", "-2.25E3", "+7"]
+# cells the numeric parser must reject (or, for importance files, may accept)
+ODD_NUMBERS = ["nan", "NaN", "inf", "-Infinity", "1e999", "abc", "1,5", "0x10", "1__0", " "]
+TEXTS = ["a", "b", "été", "a,b", 'say "hi"', '""', "two\nlines", "cr\rhere", " x "]
+MISSING_TOKENS = ["", "NA", "?"]
+ENDINGS = ["\n", "\r\n", "\r"]
+
+
+def _quote(cell: str, rng) -> str:
+    if any(c in cell for c in ',"\r\n') or rng.random() < 0.05:
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
+def _number(rng) -> str:
+    if rng.random() < 0.3:
+        return str(rng.choice(NUMBERS))
+    return repr(float(rng.normal() * 10.0 ** int(rng.integers(-3, 4))))
+
+
+def random_text(rng, kinds, missing: str, n_rows: int, odd: float) -> str:
+    """A CSV text with a header c0..ck; ``odd`` is the chance of a cell from
+    ODD_NUMBERS (numeric columns) and of a ragged row."""
+    plain = rng.random() < 0.5  # no quotes, no CR, no blank line: the split path
+    rows = [[f"c{j}" for j in range(len(kinds))]]
+    for _ in range(n_rows):
+        row = []
+        for kind in kinds:
+            u = rng.random()
+            if u < 0.1:
+                row.append(missing)
+            elif kind == "numeric":
+                row.append(str(rng.choice(ODD_NUMBERS)) if u < 0.1 + odd else _number(rng))
+            else:
+                row.append(str(rng.choice(TEXTS[:3] if plain else TEXTS)))
+        if rng.random() < odd:  # ragged: one cell short or one too many
+            row = row[:-1] if rng.random() < 0.5 else row + ["1"]
+        rows.append(row)
+    if plain:
+        lines = [",".join(r) for r in rows]
+        end = "\n"
+    else:
+        lines = [",".join(_quote(c, rng) for c in r) for r in rows]
+        if rng.random() < 0.1:
+            lines.insert(int(rng.integers(1, len(lines) + 1)), "")
+        end = str(rng.choice(ENDINGS))
+    text = end.join(lines) + (end if rng.random() < 0.8 else "")
+    return ("\ufeff" if rng.random() < 0.2 else "") + text
+
+
+def outcome(load, *args):
+    try:
+        return load(*args), None
+    except (ParseError, SchemaError, DomainError) as exc:
+        return None, exc
+
+
+def assert_same_error(got, want):
+    assert type(got) is type(want)
+    assert str(got) == str(want)
+    assert getattr(got, "row", None) == getattr(want, "row", None)
+    assert getattr(got, "column", None) == getattr(want, "column", None)
+
+
+def assert_same_table(got, want):
+    assert got.feature_names == want.feature_names
+    for g, w in zip(got.columns, want.columns):
+        assert g.kind == w.kind and g.values.dtype == w.values.dtype
+        if g.kind == "numeric":
+            assert g.values.tobytes() == w.values.tobytes()
+        else:
+            assert g.values.tolist() == w.values.tolist()
+
+
+def check_table_parity(path, schema, missing=""):
+    got, got_err = outcome(load_csv, path, schema, missing)
+    want, want_err = outcome(ref_load_csv, path, schema, missing)
+    if want_err is not None:
+        assert got_err is not None, f"expected {want_err!r}"
+        assert_same_error(got_err, want_err)
+    else:
+        assert got_err is None, f"unexpected {got_err!r}"
+        assert_same_table(got, want)
+    return got_err
+
+
+def check_matrix_parity(path):
+    got, got_err = outcome(load_importance_matrix, path)
+    want, want_err = outcome(ref_load_importance_matrix, path)
+    if want_err is not None:
+        assert got_err is not None, f"expected {want_err!r}"
+        assert_same_error(got_err, want_err)
+    else:
+        assert got_err is None, f"unexpected {got_err!r}"
+        assert got.feature_names == want.feature_names
+        assert got.scores.shape == want.scores.shape
+        assert got.scores.tobytes() == want.scores.tobytes()
+    return got_err
+
+
+def write(tmp_path, text: str, name: str = "t.csv"):
+    p = tmp_path / name
+    p.write_bytes(text.encode("utf-8"))
+    return p
+
+
+@pytest.mark.parametrize("seed", range(150))
+def test_random_tables_match_the_reference(seed, tmp_path, monkeypatch):
+    rng = np.random.default_rng(seed)
+    # small chunks put most rows, and most bad cells, past a chunk boundary
+    monkeypatch.setattr(tabular, "_CHUNK_ROWS", int(rng.integers(1, 9)))
+    kinds = [str(k) for k in rng.choice(["numeric", "categorical"], int(rng.integers(1, 5)))]
+    missing = str(rng.choice(MISSING_TOKENS))
+    odd = float(rng.choice([0.0, 0.0, 0.01, 0.05]))
+    text = random_text(rng, kinds, missing, int(rng.integers(0, 40)), odd)
+    schema = {f"c{j}": k for j, k in enumerate(kinds)}
+    check_table_parity(write(tmp_path, text), schema, missing)
+
+
+@pytest.mark.parametrize("seed", range(80))
+def test_random_matrices_match_the_reference(seed, tmp_path, monkeypatch):
+    rng = np.random.default_rng(10_000 + seed)
+    monkeypatch.setattr(tabular, "_CHUNK_ROWS", int(rng.integers(1, 9)))
+    kinds = ["numeric"] * int(rng.integers(1, 5))
+    odd = float(rng.choice([0.0, 0.0, 0.01, 0.05]))
+    text = random_text(rng, kinds, "", int(rng.integers(0, 40)), odd)
+    if rng.random() < 0.5:  # importance scores are mostly non-negative
+        text = text.replace("-", "")
+    check_matrix_parity(write(tmp_path, text))
+
+
+NAMED = {
+    "quoted_comma": 'a,b\n"1,5",x\n2,"y,z"\n',
+    "doubled_quotes": 'a,b\n1,"say ""hi"""\n2,""""\n',
+    "quoted_newlines": 'a,b\n1,"two\nlines"\n2,"cr\r\nlf"\n',
+    "crlf": "a,b\r\n1,x\r\n2,y\r\n",
+    "bare_cr": "a,b\r1,x\r2,y\r",
+    "bom": "\ufeffa,b\n1,x\n",
+    "blank_line": "a,b\n1,x\n\n2,y\n",
+    "blank_last_line": "a,b\n1,x\n\n",
+    "no_final_newline": "a,b\n1,x\n2,y",
+    "header_only": "a,b\n",
+    "header_only_no_newline": "a,b",
+    "empty": "",
+    "blank_header": "\n",
+    "padded_number": "a,b\n 1.5 ,x\n",
+    "underscore_digits": "a,b\n1_000,x\n",
+    "non_ascii_digits": "a,b\n١٢٣,x\n",
+    "nan_cell": "a,b\n1,x\nnan,y\n",
+    "inf_cell": "a,b\ninf,x\n",
+    "minus_infinity_cell": "a,b\n1,x\n-Infinity,y\n",
+    "overflow_cell": "a,b\n1e999,x\n",
+    "bad_cell": "a,b\n1,x\nabc,y\n",
+    "ragged_short": "a,b\n1,x\n2\n",
+    "ragged_long": "a,b\n1,x\n2,y,z\n",
+    "ragged_after_bad_cell": "a,b\nabc,x\n2\n",
+    "bad_cells_in_two_columns": "a,b,c\n1,x,2\n1,y,oops\nbad,z,3\n",
+    "duplicate_header": "a,a\n1,2\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAMED))
+def test_named_texts_match_the_reference(name, tmp_path):
+    path = write(tmp_path, NAMED[name])
+    schema = {"a": "numeric", "b": "categorical", "c": "numeric", "": "numeric"}
+    check_table_parity(path, schema)
+    check_table_parity(path, schema, "x")  # a custom missing token
+    check_matrix_parity(path)
+
+
+def test_custom_missing_token(tmp_path):
+    path = write(tmp_path, "a,b\nNA,NA\n1,\n2,y\n")
+    table = load_csv(path, {"a": "numeric", "b": "categorical"}, "NA")
+    check_table_parity(path, {"a": "numeric", "b": "categorical"}, "NA")
+    assert table.column("b").values.tolist() == [None, "", "y"]
+
+
+def _numbers_text(n_rows: int, bad: dict, width: int = 2) -> str:
+    lines = [",".join(f"c{j}" for j in range(width))]
+    for i in range(n_rows):
+        lines.append(bad.get(i, ",".join(f"{i}.{j}" for j in range(width))))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "bad, expected_row",
+    [
+        ({CHUNK + 37: "1.0,abc"}, CHUNK + 37),  # a bad cell in the second chunk
+        ({2 * CHUNK + 5: "1.0"}, 2 * CHUNK + 5),  # a ragged row in the third
+        ({CHUNK - 1: "1.0,1e999"}, CHUNK - 1),  # the last row of the first chunk
+        ({CHUNK: "inf,1.0"}, CHUNK),  # the first row of the second chunk
+        ({3: "1.0,abc", CHUNK + 10: "abc,1.0"}, CHUNK + 10),  # leftmost column first
+        ({3: "abc,1.0", 2 * CHUNK + 1: "1.0"}, 2 * CHUNK + 1),  # widths before cells
+    ],
+)
+def test_error_rows_count_over_the_whole_file(bad, expected_row, tmp_path):
+    path = write(tmp_path, _numbers_text(2 * CHUNK + 50, bad))
+    err = check_table_parity(path, {"c0": "numeric", "c1": "numeric"})
+    assert err.row == expected_row
+    check_matrix_parity(path)
+
+
+def test_matrix_reports_the_first_bad_row_before_a_later_ragged_row(tmp_path):
+    path = write(tmp_path, _numbers_text(2 * CHUNK, {5: "abc,1", CHUNK + 3: "1"}))
+    assert check_matrix_parity(path).row == 5
+    assert check_table_parity(path, {"c0": "numeric", "c1": "numeric"}).row == CHUNK + 3
+
+
+def test_matrix_accepts_infinite_scores(tmp_path):
+    path = write(tmp_path, "a,b\ninf,1\n1e999,0\n")
+    check_matrix_parity(path)
+    assert np.isinf(load_importance_matrix(path).scores[:, 0]).all()
+
+
+def test_plain_text_does_not_go_through_csv_reader(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("csv.reader called on plain text")
+
+    path = write(tmp_path, _numbers_text(CHUNK + 3, {}))
+    want = ref_load_csv(path, {"c0": "numeric", "c1": "numeric"})
+    monkeypatch.setattr(tabular.csv, "reader", refuse)
+    assert_same_table(load_csv(path, {"c0": "numeric", "c1": "numeric"}), want)
+
+
+@pytest.mark.parametrize("load", ["table", "matrix"])
+def test_undecodable_bytes_are_a_parse_error(load, tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"a,b\n1,2\n3,\xff\n")
+    with pytest.raises(ParseError, match="not UTF-8"):
+        if load == "table":
+            load_csv(path, {"a": "numeric", "b": "numeric"})
+        else:
+            load_importance_matrix(path)
+
+
+@pytest.mark.parametrize("load", ["table", "matrix"])
+def test_oversized_quoted_field_is_a_parse_error(load, tmp_path):
+    path = write(tmp_path, 'a,b\n1,2\n3,"' + "9" * 200_000 + '"\n')
+    with pytest.raises(ParseError, match="field larger than field limit"):
+        if load == "table":
+            load_csv(path, {"a": "numeric", "b": "numeric"})
+        else:
+            load_importance_matrix(path)
