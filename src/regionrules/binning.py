@@ -9,10 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import pairwise
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateFeatureError
+from .errors import ConfigError, DegenerateFeatureError, DomainError
 
 STRATEGIES = ("uniform", "kmeans", "quantile")
 # Most grids per feature: merging is quadratic in the grid count, and the
@@ -64,70 +65,83 @@ def make_grids(values, n_g: int, strategy: str = "uniform", seed: int = 0) -> np
 
     Returns a strictly ascending edge array spanning [min, max]; duplicate
     edges are collapsed so fewer than ``n_g`` grids may come back. ``kmeans``
-    seeds from the values in the order given.
+    seeds from the values in the order given. A range too wide for finite
+    edges raises DomainError.
     """
+    vals = np.asarray(values, dtype=np.float64)
+    return sort_and_make_grids(vals[~np.isnan(vals)], n_g, strategy, seed)
+
+
+def sort_and_make_grids(vals: np.ndarray, n_g: int, strategy: str, seed: int) -> np.ndarray:
+    """:func:`make_grids` over ``vals``, a feature's present values in row
+    order, which it sorts in place once the edges no longer need that order."""
     if n_g < 2:
         raise ConfigError(f"n_g must be >= 2, got {n_g}")
     if n_g > MAX_GRIDS:
         raise ConfigError(f"n_g must be <= {MAX_GRIDS}, got {n_g}")
     if strategy not in STRATEGIES:
         raise ConfigError(f"unknown binning strategy {strategy!r}")
-    vals = np.asarray(values, dtype=np.float64)
-    missing = np.isnan(vals)
-    vals = vals[~missing] if missing.any() else vals
     lo, hi = (float(vals.min()), float(vals.max())) if len(vals) else (0.0, 0.0)
-    if strategy == "kmeans":
-        n_distinct = len(np.unique(vals))
-    else:  # only the range matters: 0, 1 or at least 2 distinct values
-        n_distinct = min(len(vals), 1 + (lo < hi))
+    n_distinct = min(len(vals), 1 + (lo < hi))  # 0, 1 or at least 2
     if n_distinct < 2:
         raise DegenerateFeatureError(
             f"need at least 2 distinct values to bin, got {n_distinct}"
         )
 
-    if strategy == "uniform":
-        edges = np.linspace(lo, hi, n_g + 1)
-    elif strategy == "quantile":
-        edges = np.quantile(vals, np.linspace(0.0, 1.0, n_g + 1))
-    else:
-        centers = _kmeans_1d(vals, min(n_g, n_distinct), seed)
-        inner = (centers[:-1] + centers[1:]) / 2.0
-        edges = np.concatenate(([lo], inner, [hi]))
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge range is checked below
+        if strategy == "kmeans":
+            centers = _kmeans_1d(vals, n_g, seed)
+            edges = np.array([lo, *((a + b) / 2.0 for a, b in pairwise(centers)), hi])
+        else:
+            if strategy == "uniform":
+                edges = np.linspace(lo, hi, n_g + 1)
+            else:
+                edges = np.quantile(vals, np.linspace(0.0, 1.0, n_g + 1))
+            vals.sort()
+    if not np.isfinite(edges).all():
+        raise DomainError(f"values from {lo!r} to {hi!r} give non-finite grid edges")
+    return np.unique(edges)
 
-    edges = np.unique(edges)
-    return edges
 
+def _kmeans_1d(values: np.ndarray, k: int, seed: int) -> list[float]:
+    """Seeded 1-D k-means: k-means++ init, Lloyd to convergence or 100 iters.
 
-def _kmeans_1d(values: np.ndarray, k: int, seed: int) -> np.ndarray:
-    """Seeded 1-D k-means (k-means++ init, Lloyd to convergence or 100 iters)."""
+    Sorts ``values`` in place after seeding from their order. Seeding stops
+    once every value sits on a center, so ``k`` may exceed the distinct count.
+    """
     rng = np.random.default_rng(seed)
-    centers = np.empty(k, dtype=np.float64)
-    centers[0] = values[rng.integers(len(values))]
-    d2 = (values - centers[0]) ** 2
-    n_centers = k
-    for i in range(1, k):
+    c = values[rng.integers(len(values))]
+    centers = [float(c)]
+    d2 = np.square(values - c)
+    buf = np.empty_like(values)
+    for _ in range(1, k):
         total = d2.sum()
+        if not np.isfinite(total):
+            raise DomainError("squared distances between values overflow in kmeans binning")
         if total == 0.0:
-            n_centers = i  # remaining mass sits exactly on chosen centers
             break
-        centers[i] = values[rng.choice(len(values), p=d2 / total)]
-        d2 = np.minimum(d2, (values - centers[i]) ** 2)
-    centers = np.unique(centers[:n_centers])
+        # Generator.choice(len(values), p=d2 / total), draw for draw
+        np.divide(d2, total, out=buf)
+        np.cumsum(buf, out=buf)
+        buf /= buf[-1]
+        c = values[buf.searchsorted(rng.random(), side="right")]
+        centers.append(float(c))
+        np.square(np.subtract(values, c, out=buf), out=buf)
+        np.minimum(d2, buf, out=d2)
+    del d2, buf
+    centers = sorted(set(centers))
 
     # Lloyd on sorted values: cluster sums come from prefix sums, ties at a
     # midpoint stay with the left cluster
-    vs = np.sort(values)
-    prefix = np.concatenate(([0.0], np.cumsum(vs)))
+    values.sort()
+    prefix = np.concatenate(([0.0], np.cumsum(values)))
     for _ in range(100):
-        mids = (centers[:-1] + centers[1:]) / 2.0
-        bounds = np.concatenate(
-            ([0], np.searchsorted(vs, mids, side="right"), [len(vs)])
-        )
-        counts = np.diff(bounds)
-        keep = counts > 0
-        sums = prefix[bounds[1:]] - prefix[bounds[:-1]]
-        new = np.unique(sums[keep] / counts[keep])
-        if len(new) == len(centers) and np.array_equal(new, centers):
+        mids = [(a + b) / 2.0 for a, b in pairwise(centers)]
+        bounds = [0, *values.searchsorted(mids, side="right").tolist(), len(values)]
+        sums = prefix[bounds].tolist()
+        pairs = zip(pairwise(sums), pairwise(bounds))
+        new = sorted({(s1 - s0) / (b1 - b0) for (s0, s1), (b0, b1) in pairs if b1 > b0})
+        if new == centers:
             break
         centers = new
     return centers

@@ -66,6 +66,7 @@ from .tabular import (
     TargetIndicator,
     load_csv,
     make_target,
+    read_csv,
     roc_threshold,
 )
 
@@ -169,6 +170,8 @@ def _csv_header(path: str) -> list[str]:
         except StopIteration:
             raise ParseError(f"{path} is empty (no header row)") from None
         except (UnicodeDecodeError, csv.Error) as exc:
+            if isinstance(exc, UnicodeDecodeError):  # the reader names the byte in the file
+                read_csv(path, "")
             raise ParseError(f"{path}: {exc}") from None
 
 

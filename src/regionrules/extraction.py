@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .binning import MAX_GRIDS, GridHistogram, make_grids, merge_grids, sorted_grid_counts
+from .binning import MAX_GRIDS, GridHistogram, merge_grids, sort_and_make_grids, sorted_grid_counts
 from .binning import grid_counts  # noqa: F401  (unused here; perfbench patches this name)
 from .errors import (
     ConfigError,
@@ -174,9 +174,7 @@ def numeric_histogram(
     hit = flags[rows]
     present = ~np.isnan(vals)
     s, st = vals[present], vals[present & hit]
-    # kmeans seeds from the row order, so the values are sorted only afterwards
-    edges = make_grids(s, config.n_grids, config.strategy, config.seed)
-    s.sort()
+    edges = sort_and_make_grids(s, config.n_grids, config.strategy, config.seed)
     st.sort()
     hist = sorted_grid_counts(edges, s, st, feature, len(rows), int(hit.sum()))
     return merge_grids(hist), s, st

@@ -202,8 +202,8 @@ def read_csv(path, empty_message: str):
     ParseError once the rows before it have been yielded. Undecodable bytes
     and malformed quoting raise ParseError too."""
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            text = fh.read()
+        with open(path, newline="", encoding="utf-8") as fh:
+            text = fh.read().removeprefix("\ufeff")  # not utf-8-sig: offsets count the BOM
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not UTF-8: {exc.reason} at byte {exc.start}") from None
     tokens = _tokens(text, path)

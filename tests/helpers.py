@@ -75,7 +75,6 @@ def per_row_equals(col, token) -> np.ndarray:
 
 def ref_make_grids(values, n_g: int, strategy: str = "uniform", seed: int = 0) -> np.ndarray:
     """Grid edges with the range and distinct count taken from ``np.unique``."""
-    from regionrules.binning import _kmeans_1d
     from regionrules.errors import DegenerateFeatureError
 
     vals = np.asarray(values, dtype=np.float64)
@@ -91,9 +90,48 @@ def ref_make_grids(values, n_g: int, strategy: str = "uniform", seed: int = 0) -
     elif strategy == "quantile":
         edges = np.quantile(vals, np.linspace(0.0, 1.0, n_g + 1))
     else:
-        centers = _kmeans_1d(vals, min(n_g, len(distinct)), seed)
+        centers = ref_kmeans_1d(vals, min(n_g, len(distinct)), seed)
         edges = np.concatenate(([lo], (centers[:-1] + centers[1:]) / 2.0, [hi]))
     return np.unique(edges)
+
+
+def ref_kmeans_1d(values: np.ndarray, k: int, seed: int) -> np.ndarray:
+    """Seeded 1-D k-means (k-means++ init, Lloyd to convergence or 100 iters).
+
+    The array form the scalar kernel replaced, drawing each seed with
+    ``Generator.choice``.
+    """
+    rng = np.random.default_rng(seed)
+    centers = np.empty(k, dtype=np.float64)
+    centers[0] = values[rng.integers(len(values))]
+    d2 = (values - centers[0]) ** 2
+    n_centers = k
+    for i in range(1, k):
+        total = d2.sum()
+        if total == 0.0:
+            n_centers = i  # remaining mass sits exactly on chosen centers
+            break
+        centers[i] = values[rng.choice(len(values), p=d2 / total)]
+        d2 = np.minimum(d2, (values - centers[i]) ** 2)
+    centers = np.unique(centers[:n_centers])
+
+    # Lloyd on sorted values: cluster sums come from prefix sums, ties at a
+    # midpoint stay with the left cluster
+    vs = np.sort(values)
+    prefix = np.concatenate(([0.0], np.cumsum(vs)))
+    for _ in range(100):
+        mids = (centers[:-1] + centers[1:]) / 2.0
+        bounds = np.concatenate(
+            ([0], np.searchsorted(vs, mids, side="right"), [len(vs)])
+        )
+        counts = np.diff(bounds)
+        keep = counts > 0
+        sums = prefix[bounds[1:]] - prefix[bounds[:-1]]
+        new = np.unique(sums[keep] / counts[keep])
+        if len(new) == len(centers) and np.array_equal(new, centers):
+            break
+        centers = new
+    return centers
 
 
 def ref_grid_counts(edges, vals, flags, cond, feature: int = 0):

@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from regionrules import GridHistogram, grid_counts, make_grids, merge_grids
-from regionrules.errors import ConfigError, DegenerateFeatureError
+from regionrules.errors import ConfigError, DegenerateFeatureError, DomainError
 
 
 class TestMakeGrids:
@@ -48,6 +49,20 @@ class TestMakeGrids:
         a = make_grids(values, 6, "kmeans", seed=9)
         b = make_grids(values, 6, "kmeans", seed=9)
         assert a.tolist() == b.tolist()
+
+    @pytest.mark.parametrize("strategy", ["uniform", "quantile", "kmeans"])
+    def test_range_too_wide_for_finite_edges(self, strategy):
+        # uniform and quantile overflow in hi - lo, kmeans in the squared distances
+        values = np.array([-1.7e308] * 3 + [1.7e308] * 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy overflow warning either
+            with pytest.raises(DomainError):
+                make_grids(values, 2, strategy)
+            with pytest.raises(DomainError, match="overflow"):
+                make_grids(np.array([0.0, 1e200, -1e200]), 4, "kmeans")
+            # wide ranges whose arithmetic stays finite still bin
+            assert make_grids(np.array([-1e307, 1e307]), 4, "uniform")[2] == 0.0
+            assert len(make_grids(np.array([-1e153, 0.0, 1e153]), 4, "kmeans")) == 4
 
     @settings(max_examples=150, deadline=None)
     @given(

@@ -136,6 +136,20 @@ class TestExtract:
         assert payload["candidates"] == []
         assert payload["best"] is None
 
+    @pytest.mark.parametrize("strategy", ["uniform", "quantile", "kmeans"])
+    def test_range_too_wide_to_bin_is_a_data_error(self, tmp_path, capsys, strategy):
+        data = tmp_path / "d.csv"
+        data.write_text("x,label\n" + "".join(
+            f"{-1.7e308 if i < 200 else 1.7e308!r},{i % 2}\n" for i in range(400)
+        ))
+        code, out, err = run(
+            capsys, "extract", "--data", data, "--target-column", "label",
+            "--min-support", "2", "--max-rules", "1", "--n-grids", "2",
+            "--strategy", strategy,
+        )
+        assert (code, out) == (2, "")
+        assert one_error_line(err) == "DomainError"
+
     def test_word_target_class_on_numeric_label_is_a_usage_error(self, capsys):
         code, out, err = run(
             capsys, "extract", "--data", FIXTURES / "two_mode.csv",
@@ -469,14 +483,22 @@ class TestUnreadableCsv:
     def select(self, capsys, path):
         return run(capsys, "select-features", "--matrix", path)
 
-    @pytest.mark.parametrize("where", ["header", "body"])
+    @pytest.mark.parametrize("where", ["header", "first rows", "first rows after a BOM", "body"])
     def test_undecodable_bytes_in_data(self, tmp_path, capsys, where):
+        # the header read decodes the first 8 KiB, the data reader the rest
         head = b"f0,lab\xe9l\n" if where == "header" else b"f0,label\n"
-        tail = b"" if where == "header" else b"1.5,\xe9\n"
-        body = head + self.ROWS.encode() + tail
-        code, out, err = self.extract(capsys, self.write(tmp_path, body))
+        first = b"1.5,\xe9\n" if where.startswith("first rows") else b""
+        tail = b"1.5,\xe9\n" if where == "body" else b""
+        body = head + first + self.ROWS.encode() + tail
+        if where.endswith("BOM"):
+            body = b"\xef\xbb\xbf" + body  # offsets count the byte-order mark
+        path = self.write(tmp_path, body)
+        code, out, err = self.extract(capsys, path)
         assert (code, out) == (2, "")
         assert one_error_line(err) == "ParseError"
+        assert json.loads(err)["message"] == (
+            f"{path} is not UTF-8: invalid continuation byte at byte {body.index(0xE9)}"
+        )
 
     def test_oversized_quoted_field_in_data(self, tmp_path, capsys):
         body = "f0,label\n" + self.ROWS + '1.5,"' + "1" * 140_000 + '"\n'

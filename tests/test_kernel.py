@@ -22,7 +22,7 @@ from regionrules import (
     make_grids,
     merge_grids,
 )
-from regionrules.binning import MAX_GRIDS
+from regionrules.binning import MAX_GRIDS, sort_and_make_grids
 from regionrules.errors import ConfigError, DegenerateFeatureError, NoTargetError
 from regionrules.extraction import (
     find_peaks,
@@ -35,6 +35,7 @@ from helpers import (
     random_config,
     random_table,
     ref_grid_counts,
+    ref_kmeans_1d,
     ref_make_grids,
     ref_screen_interval,
 )
@@ -148,3 +149,67 @@ def test_n_grids_above_the_maximum_is_rejected_before_allocating():
     assert MAX_GRIDS == 1000
     ExtractionConfig(min_support=1, max_rules=1, n_grids=MAX_GRIDS)
     assert len(make_grids(np.linspace(0.0, 1.0, 5000), MAX_GRIDS)) == MAX_GRIDS + 1
+
+
+def ref_kmeans_edges(vals, n_g, seed):
+    """kmeans edges as built before the scalar kernel: ``ref_kmeans_1d`` over
+    the distinct count, with the range taken from min and max."""
+    centers = ref_kmeans_1d(vals, min(n_g, len(np.unique(vals))), seed)
+    inner = (centers[:-1] + centers[1:]) / 2.0
+    return np.unique(np.concatenate(([vals.min()], inner, [vals.max()])))
+
+
+def lloyd_moves(vals, edges):
+    """Whether one more Lloyd step, in the reference's arithmetic, moves the
+    centers whose midpoints are the inner ``edges``."""
+    vs = np.sort(vals)
+    prefix = np.concatenate(([0.0], np.cumsum(vs)))
+    bounds = np.concatenate(([0], np.searchsorted(vs, edges[1:-1], side="right"), [len(vs)]))
+    counts = np.diff(bounds)
+    sums = prefix[bounds[1:]] - prefix[bounds[:-1]]
+    centers = np.unique(sums[counts > 0] / counts[counts > 0])
+    return not np.array_equal((centers[:-1] + centers[1:]) / 2.0, edges[1:-1])
+
+
+def kmeans_cases():
+    """(name, values, grid counts) covering the corners of the k-means kernel."""
+    rng = np.random.default_rng(11)
+    yield "signed zeros", rng.choice([-0.0, 0.0, 1.0, -1.0, 2.5], 500), (2, 3, 6)
+    yield "only zeros and one", np.array([0.0, -0.0, 1.0, -0.0, 0.0, 1.0]), (2, 3)
+    yield "on a midpoint", np.repeat(np.arange(20.0), 3)[rng.permutation(60)], (3, 5, 10)
+    skewed = rng.choice([0.0, 1.0, 5.0], 10_000, p=[0.98, 0.015, 0.005])
+    yield "heavy duplicates", skewed, (2, 4, 10)
+    yield "k == distinct", rng.permutation(np.arange(10.0)), (10,)
+    yield "k > distinct", rng.choice([1.5, 2.0, 7.0], 300), (10,)
+    yield "iteration cap", np.random.default_rng(1).normal(size=3000) + 1e12, (20,)
+    for n in (2, 3, 17, 100, 1_000, 10_000, 100_000):
+        yield f"normal n={n}", rng.normal(size=n), (2, 10)
+    yield "coarse n=5000", np.round(rng.normal(size=5000) * 2) / 2, (4, 10)
+    yield "wide scale", rng.normal(size=400) * 1e150, (5,)
+    yield "tiny scale", rng.normal(size=400) * 1e-300, (5,)
+
+
+KMEANS_CASES = list(kmeans_cases())
+
+
+@pytest.mark.parametrize("name, vals, n_gs", KMEANS_CASES, ids=[c[0] for c in KMEANS_CASES])
+def test_kmeans_edges_are_byte_identical_to_the_choice_based_reference(name, vals, n_gs):
+    ties = 0
+    for n_g in n_gs:
+        for seed in (0, 1, 7):
+            want = ref_kmeans_edges(vals, n_g, seed)
+            assert make_grids(vals, n_g, "kmeans", seed).tobytes() == want.tobytes()
+            ties += np.isin(want[1:-1], vals).sum()
+    if name == "on a midpoint":
+        assert ties  # values the left cluster keeps
+    if name == "iteration cap":
+        assert lloyd_moves(vals, make_grids(vals, n_gs[0], "kmeans", 0))
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_grids_sort_the_present_values_in_place(strategy):
+    vals = np.random.default_rng(3).normal(size=1000)
+    mine = vals.copy()
+    edges = sort_and_make_grids(mine, 10, strategy, 0)
+    assert edges.tobytes() == make_grids(vals, 10, strategy, 0).tobytes()
+    assert mine.tobytes() == np.sort(vals).tobytes()
