@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 
 import numpy as np
 
@@ -185,18 +184,18 @@ def build_importance_matrix(
 def load_importance_matrix(path) -> ImportanceMatrix:
     """Read an importance matrix CSV whose header names the features."""
     header, chunks = read_csv(path, "importance matrix file is empty")
-    blocks = [np.empty((0, len(header)))]
-    for rows, columns in chunks:
+    width = len(header)
+    blocks = [np.empty((0, width))]
+    for rows, cells in chunks:
         try:
-            cells = map(float, chain.from_iterable(columns))
-            block = np.fromiter(cells, np.float64, len(header) * len(rows))
-            blocks.append(block.reshape(len(header), len(rows)).T)
+            block = np.fromiter(map(float, cells), np.float64, len(cells))
         except ValueError:
-            for i, row in zip(rows, zip(*columns)):  # the first row with a bad cell
+            for i, k in zip(rows, range(0, len(cells), width)):  # the first bad row
                 try:
-                    list(map(float, row))
+                    list(map(float, cells[k : k + width]))
                 except ValueError:
                     raise ParseError(f"unparseable number in row {i}", row=i) from None
+        blocks.append(block.reshape(len(rows), width))
     return ImportanceMatrix(scores=np.concatenate(blocks), feature_names=tuple(header))
 
 

@@ -15,6 +15,8 @@ import json
 import logging
 import os
 import sys
+from collections import defaultdict
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -66,7 +68,6 @@ from .tabular import (
     TargetIndicator,
     load_csv,
     make_target,
-    read_csv,
     roc_threshold,
 )
 
@@ -163,20 +164,8 @@ def _emit(payload: dict, out_path: str | None) -> None:
         Path(out_path).write_text(text + "\n", encoding="utf-8")
 
 
-def _csv_header(path: str) -> list[str]:
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        try:
-            return next(csv.reader(fh))
-        except StopIteration:
-            raise ParseError(f"{path} is empty (no header row)") from None
-        except (UnicodeDecodeError, csv.Error) as exc:
-            if isinstance(exc, UnicodeDecodeError):  # the reader names the byte in the file
-                read_csv(path, "")
-            raise ParseError(f"{path}: {exc}") from None
-
-
-def _schema_from_settings(settings: _Settings, path: str) -> dict[str, str]:
-    header = _csv_header(path)
+def _schema_from_settings(settings: _Settings) -> defaultdict[str, str]:
+    """Kinds from --schema; every other column gets --default-kind."""
     declared = {}
     raw = settings.get("schema")
     if raw:
@@ -191,38 +180,41 @@ def _schema_from_settings(settings: _Settings, path: str) -> dict[str, str]:
     default_kind = settings.get("default_kind", "numeric")
     if default_kind not in (NUMERIC, CATEGORICAL):
         raise ConfigError("--default-kind must be numeric or categorical")
-    for name in header:
-        declared.setdefault(name, default_kind)
-    return declared
+    return defaultdict(lambda: default_kind, declared)
 
 
-def _load_table(settings: _Settings) -> DataTable:
+def _load_table(settings: _Settings, columns: list[str] | None = None) -> DataTable:
+    """The --data table; only ``columns`` (default: all) are read."""
     path = settings.get("data", required=True)
-    schema = _schema_from_settings(settings, path)
-    table = load_csv(path, schema, missing_token=settings.get("missing_token", ""))
+    missing = settings.get("missing_token", "")
+    table = load_csv(path, _schema_from_settings(settings), missing, columns)
     log.info("loaded %d rows x %d columns from %s", table.n_rows, len(table.columns), path)
     return table
 
 
-def _build_target(settings: _Settings, table: DataTable):
-    """Target indicator plus the feature table with target columns dropped."""
+def _target_column(settings: _Settings) -> str:
+    """The one column given by --prediction-column or --target-column."""
     pred_col = settings.get("prediction_column")
     target_col = settings.get("target_column")
-    target_class = settings.get("target_class", "1")
     if (pred_col is None) == (target_col is None):
         raise ConfigError("give exactly one of --prediction-column / --target-column")
-    if pred_col is not None:
-        col = table.column(pred_col)
+    return target_col if pred_col is None else pred_col
+
+
+def _build_target(settings: _Settings, table: DataTable):
+    """Target indicator plus the feature table with the target column dropped."""
+    name = _target_column(settings)
+    col = table.column(name)
+    target_class = settings.get("target_class", "1")
+    if settings.get("prediction_column") is not None:
         if col.kind != NUMERIC:
-            raise SchemaError(f"prediction column {pred_col!r} must be numeric")
+            raise SchemaError(f"prediction column {name!r} must be numeric")
         threshold = settings.get("threshold", required=True)
         target = make_target(col.values, float(threshold), target_label=target_class)
-        features = table.drop([pred_col])
     else:
-        flags = _class_flags(table.column(target_col), target_class)
+        flags = _class_flags(col, target_class)
         target = TargetIndicator(flags=flags, target_label=target_class)
-        features = table.drop([target_col])
-    return target, features
+    return target, table.drop([name])
 
 
 def _class_flags(col: FeatureColumn, label: str) -> np.ndarray:
@@ -237,23 +229,29 @@ def _class_flags(col: FeatureColumn, label: str) -> np.ndarray:
         ) from None
 
 
-def _feature_indices(settings: _Settings, table: DataTable) -> list[int]:
-    names: list[str] | None = None
+def _feature_names(settings: _Settings) -> list[str] | None:
+    """Names from --features or --features-file; None when neither is given."""
     raw = settings.get("features")
-    if raw:
-        names = [n.strip() for n in raw.split(",") if n.strip()]
+    names = [n.strip() for n in raw.split(",") if n.strip()] if raw else None
     ffile = settings.get("features_file")
     if ffile:
         payload = json.loads(Path(ffile).read_text(encoding="utf-8"))
         names = payload.get("features") if isinstance(payload, dict) else None
         if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
             raise SchemaError(f'{ffile}: "features" must be a list of column names')
-    if names is None:
-        names = table.feature_names
-    dupes = sorted({n for n in names if names.count(n) > 1})
-    if dupes:
+    if dupes := sorted({n for n in names or () if names.count(n) > 1}):
         raise ConfigError(f"features listed more than once: {dupes}")
-    return [table.column_index(n) for n in names]
+    return names
+
+
+def _search_inputs(settings: _Settings, extra=()):
+    """Target, feature table and searched feature indices; of the data, only
+    the target column, the searched features and ``extra`` names are read."""
+    names = _feature_names(settings)
+    columns = None if names is None else [*names, *extra, _target_column(settings)]
+    target, features = _build_target(settings, _load_table(settings, columns))
+    names = features.feature_names if names is None else names
+    return target, features, [features.column_index(n) for n in names]
 
 
 def _extraction_config(settings: _Settings) -> ExtractionConfig:
@@ -266,18 +264,6 @@ def _extraction_config(settings: _Settings) -> ExtractionConfig:
         min_confidence=settings.get("min_confidence", 0.8),
         seed=settings.get("seed", 0),
     )
-
-
-def _config_echo(config: ExtractionConfig) -> dict:
-    return {
-        "min_support": config.min_support,
-        "max_rules": config.max_rules,
-        "n_grids": config.n_grids,
-        "max_branches": config.max_branches,
-        "strategy": config.strategy,
-        "min_confidence": config.min_confidence,
-        "seed": config.seed,
-    }
 
 
 def _root_histograms(table, target, feature_indices, config) -> list[dict]:
@@ -373,9 +359,7 @@ def _cmd_select_features(settings: _Settings) -> int:
 
 
 def _cmd_extract(settings: _Settings) -> int:
-    table = _load_table(settings)
-    target, features = _build_target(settings, table)
-    feature_indices = _feature_indices(settings, features)
+    target, features, feature_indices = _search_inputs(settings)
     config = _extraction_config(settings)
 
     log.info("target subgroup: %d of %d rows", target.count, features.n_rows)
@@ -383,7 +367,7 @@ def _cmd_extract(settings: _Settings) -> int:
     log.info("search returned %d candidate rule sets", len(candidates))
     best = select_best(candidates, config.min_confidence) if candidates else None
     payload = {
-        "config": _config_echo(config),
+        "config": asdict(config),
         "target": {
             "label": target.target_label,
             "count": target.count,
@@ -402,21 +386,21 @@ def _cmd_extract(settings: _Settings) -> int:
 
 
 def _cmd_explain(settings: _Settings) -> int:
-    table = _load_table(settings)
-    target, features = _build_target(settings, table)
-    feature_indices = _feature_indices(settings, features)
-    config = _extraction_config(settings)
-
     row_index = settings.get("row_index")
     sample_file = settings.get("sample_file")
     if (row_index is None) == (sample_file is None):
         raise ConfigError("give exactly one of --row-index / --sample-file")
-    if row_index is not None:
-        values = features.row_values(int(row_index))  # RangeError on bad index
-        sample = {features.column_index(k): v for k, v in values.items()}
-    else:
+    named = {}
+    if sample_file is not None:
         named = json.loads(Path(sample_file).read_text(encoding="utf-8"))
-        sample = {features.column_index(k): v for k, v in named.items()}
+        if not isinstance(named, dict):
+            raise SchemaError(f"{sample_file}: the sample must map feature names to values")
+    target, features, feature_indices = _search_inputs(settings, extra=list(named))
+    config = _extraction_config(settings)
+
+    if row_index is not None:
+        named = features.row_values(int(row_index))  # RangeError on bad index
+    sample = {features.column_index(k): v for k, v in named.items()}
     sample = {f: sample[f] for f in feature_indices if f in sample}
 
     result = extract_local(features, target, feature_indices, sample, config)
@@ -431,69 +415,74 @@ def _cmd_explain(settings: _Settings) -> int:
 
 
 def _rule_dicts_from_file(path: str) -> list[dict]:
+    """The rule-set objects of a rules file, each holding a "rules" list."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if isinstance(payload, list):
-        return payload
-    if "candidates" in payload:
-        return payload["candidates"]
-    if "rule_sets" in payload:
-        return payload["rule_sets"]
-    if "rules" in payload:
-        return [payload]
-    raise SchemaError(f"{path} does not look like a rule-set file")
+    if isinstance(payload, dict):
+        single = [payload] if "rules" in payload else None
+        payload = payload.get("candidates", payload.get("rule_sets", single))
+    if not isinstance(payload, list) or not all(
+        isinstance(d, dict) and isinstance(d.get("rules"), list) for d in payload
+    ):
+        raise SchemaError(f"{path} does not look like a rule-set file")
+    return payload
 
 
 def _cmd_evaluate(settings: _Settings) -> int:
-    table = _load_table(settings)
-    target, features = _build_target(settings, table)
     dicts = _rule_dicts_from_file(settings.get("rules", required=True))
+    names = [r.get("feature") for d in dicts for r in d["rules"] if isinstance(r, dict)]
+    names = [n for n in names if isinstance(n, str)]  # the rest fail as malformed rules
+    table = _load_table(settings, [*names, _target_column(settings)])
+    target, features = _build_target(settings, table)
     rule_lists = [rules_from_dict(features, d) for d in dicts]
     report = metrics.evaluate(features, target, rule_lists)
     out = settings.get("out")
-    if out in (None, "-"):
-        print(metrics.report_text(features, report))
-    else:
+    if out not in (None, "-"):
         _emit(metrics.report_json(features, report), out)
-        print(metrics.report_text(features, report))
+    print(metrics.report_text(features, report))
     return 0
 
 
 def _cmd_threshold(settings: _Settings) -> int:
-    table = _load_table(settings)
-    pred = table.column(settings.get("prediction_column", required=True))
+    pred_name = settings.get("prediction_column", required=True)
+    label_name = settings.get("label_column", required=True)
+    table = _load_table(settings, [pred_name, label_name])
+    pred = table.column(pred_name)
     if pred.kind != NUMERIC:
         raise SchemaError("prediction column must be numeric")
-    label_col = table.column(settings.get("label_column", required=True))
+    label_col = table.column(label_name)
     labels = _class_flags(label_col, settings.get("label_class", "1"))
     t = roc_threshold(pred.values, labels)
     _emit({"threshold": t}, settings.get("out"))
     return 0
 
 
+def _pairs(value) -> tuple[tuple[float, float], ...]:
+    return tuple((float(a), float(b)) for a, b in value)
+
+
+def _planted_spec(path: str) -> PlantedSpec:
+    """The PlantedSpec of a spec file; any malformed field is a SpecError."""
+    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        return PlantedSpec(
+            n_rows=int(payload["n_rows"]),
+            n_features=int(payload["n_features"]),
+            modes=tuple(
+                PlantedMode(_pairs(m["bounds"]), float(m["purity"]), float(m["weight"]))
+                for m in payload.get("modes", [])
+            ),
+            background_rate=float(payload.get("background_rate", 0.0)),
+            seed=int(payload.get("seed", 0)),
+            domain=_pairs(payload["domain"]) if "domain" in payload else None,
+        )
+    except KeyError as exc:
+        raise SpecError(f"{path}: spec lacks {exc.args[0]!r}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SpecError(f"{path}: malformed spec: {exc}") from None
+
+
 def _cmd_synth(settings: _Settings) -> int:
-    spec_payload = json.loads(
-        Path(settings.get("spec_file", required=True)).read_text(encoding="utf-8")
-    )
-    modes = tuple(
-        PlantedMode(
-            bounds=tuple((float(a), float(b)) for a, b in m["bounds"]),
-            purity=float(m["purity"]),
-            weight=float(m["weight"]),
-        )
-        for m in spec_payload.get("modes", [])
-    )
-    spec = PlantedSpec(
-        n_rows=int(spec_payload["n_rows"]),
-        n_features=int(spec_payload["n_features"]),
-        modes=modes,
-        background_rate=float(spec_payload.get("background_rate", 0.0)),
-        seed=int(spec_payload.get("seed", 0)),
-        domain=tuple(
-            (float(a), float(b)) for a, b in spec_payload["domain"]
-        )
-        if "domain" in spec_payload
-        else None,
-    )
+    spec = _planted_spec(settings.get("spec_file", required=True))
     table, target, summaries = gen_synthetic(spec)
 
     out_path = settings.get("out", required=True)

@@ -571,15 +571,16 @@ def build_rule_tree(
     if samples is not None:
         missing = [f for f in features if f not in samples or _is_missing_value(samples[f])]
         if missing:
-            raise ConfigError(f"sample lacks values for features {sorted(missing)}")
+            names = [table.column(f).name for f in sorted(missing)]
+            raise ConfigError(f"sample lacks values for features {names}")
         for f in features:
             if table.column(f).kind == NUMERIC:
                 try:
                     float(samples[f])
                 except (TypeError, ValueError):
                     raise DomainError(
-                        f"sample value {samples[f]!r} for numeric feature {f} "
-                        "is not a number"
+                        f"sample value {samples[f]!r} for numeric feature "
+                        f"{table.column(f).name!r} is not a number"
                     ) from None
 
     root = RuleTreeNode(

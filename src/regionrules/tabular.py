@@ -124,10 +124,7 @@ class DataTable:
 
     def column(self, key: int | str) -> FeatureColumn:
         if isinstance(key, str):
-            try:
-                key = self._index[key]
-            except KeyError:
-                raise SchemaError(f"unknown column {key!r}") from None
+            key = self.column_index(key)
         if not 0 <= key < len(self.columns):
             raise SchemaError(f"column index {key} out of range")
         return self.columns[key]
@@ -196,11 +193,11 @@ _CHUNK_ROWS = 8192  # rows whose cell strings are alive at once
 
 
 def read_csv(path, empty_message: str):
-    """Header and ``(rows, columns)`` chunks of a comma-separated UTF-8 file:
-    ``rows`` is the range of a chunk's 0-based data rows, ``columns`` one list
-    of cell strings per header name. A row of the wrong width raises
-    ParseError once the rows before it have been yielded. Undecodable bytes
-    and malformed quoting raise ParseError too."""
+    """Header and ``(rows, cells)`` chunks of a comma-separated UTF-8 file:
+    ``rows`` is the range of a chunk's 0-based data rows, ``cells`` their cell
+    strings in row order, so column ``j`` is ``cells[j::len(header)]``. A row
+    of the wrong width raises ParseError once the rows before it have been
+    yielded. Undecodable bytes and malformed quoting raise ParseError too."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             text = fh.read().removeprefix("\ufeff")  # not utf-8-sig: offsets count the BOM
@@ -246,8 +243,9 @@ def _chunks(tokens, width: int):
             n = next(i for i, w in enumerate(widths) if w != width)
             i = start + n
             bad = ParseError(f"row {i} has {widths[n]} cells, expected {width}", row=i)
+            del flat[n * width :]
         if n:
-            yield range(start, start + n), [flat[j : n * width : width] for j in range(width)]
+            yield range(start, start + n), flat
         if n < len(widths):
             raise bad
         start += n
@@ -276,40 +274,51 @@ def load_csv(
     path,
     schema: Mapping[str, str],
     missing_token: str = "",
+    columns: Iterable[str] | None = None,
 ) -> DataTable:
     """Read a UTF-8, comma-separated file with a header row into a DataTable.
 
-    ``schema`` maps every header name to "numeric" or "categorical". Cells
-    equal to ``missing_token`` become missing markers. Of the bad cells, the
-    first one in the leftmost bad column is reported.
+    ``schema[name]`` is every header name's kind, "numeric" or "categorical"
+    (a ``defaultdict`` gives undeclared names a default kind). Only the named
+    ``columns`` (default: all) are converted, in header order; the other
+    columns' cells are width-checked and never parsed. Cells equal to
+    ``missing_token`` become missing markers. Of the bad cells, the first one
+    in the leftmost bad column is reported.
     """
     header, chunks = read_csv(path, "file is empty (no header row)")
-    if len(set(header)) != len(header):
+    index = {name: j for j, name in enumerate(header)}
+    if len(index) != len(header):
         dupes = sorted({h for h in header if header.count(h) > 1})
         raise SchemaError(f"duplicate header names {dupes}")
     for name in header:
-        if name not in schema:
-            raise SchemaError(f"schema does not cover column {name!r}")
-        if schema[name] not in KINDS:
-            raise SchemaError(f"unknown kind {schema[name]!r} for column {name!r}")
-    parts: list[list[np.ndarray]] = [[] for _ in header]
+        try:
+            kind = schema[name]
+        except KeyError:
+            raise SchemaError(f"schema does not cover column {name!r}") from None
+        if kind not in KINDS:
+            raise SchemaError(f"unknown kind {kind!r} for column {name!r}")
+    wanted = header if columns is None else list(columns)
+    if unknown := [name for name in wanted if name not in index]:
+        raise SchemaError(f"unknown column {unknown[0]!r}")
+    parts: dict[int, list[np.ndarray]] = {j: [] for j in sorted(map(index.get, wanted))}
     bad = []  # (column, row, ParseError), raised once every row's width is checked
-    for rows, columns in chunks:
-        for j, (name, cells) in enumerate(zip(header, columns)):
+    for rows, cells in chunks:
+        for j, part in parts.items():
+            name, column = header[j], cells[j :: len(header)]
             if schema[name] == CATEGORICAL:
-                cells = [None if c == missing_token else c for c in cells]
-                parts[j].append(np.array(cells, dtype=object))
+                column = [None if c == missing_token else c for c in column]
+                part.append(np.array(column, dtype=object))
                 continue
             try:
-                parts[j].append(_numeric_cells(cells, rows, missing_token, name))
+                part.append(_numeric_cells(column, rows, missing_token, name))
             except ParseError as exc:
                 bad.append((j, exc.row, exc))
     if bad:
         raise min(bad, key=lambda b: b[:2])[2]
     return DataTable(
         tuple(
-            FeatureColumn(name, schema[name], np.concatenate(p) if p else [])
-            for name, p in zip(header, parts)
+            FeatureColumn(header[j], schema[header[j]], np.concatenate(p) if p else [])
+            for j, p in parts.items()
         )
     )
 

@@ -331,6 +331,33 @@ class TestExplain:
         assert code == 2
         assert json.loads(err)["error"] == "RangeError"
 
+    def explain_sample(self, capsys, tmp_path, sample):
+        path = tmp_path / "sample.json"
+        path.write_text(json.dumps(sample))
+        return run(
+            capsys, "explain", "--data", FIXTURES / "two_mode.csv",
+            "--target-column", "label", "--min-support", "150", "--max-rules", "1",
+            "--sample-file", path,
+        )
+
+    def test_sample_lacking_a_feature_names_it(self, tmp_path, capsys):
+        code, out, err = self.explain_sample(capsys, tmp_path, {"f1": 0.5})
+        assert (code, out) == (1, "")
+        assert one_error_line(err) == "ConfigError"
+        assert json.loads(err)["message"] == "sample lacks values for features ['f0']"
+
+    @pytest.mark.parametrize("sample", [[1], 5, "f0", None])
+    def test_sample_that_is_not_an_object_is_a_data_error(self, tmp_path, capsys, sample):
+        code, out, err = self.explain_sample(capsys, tmp_path, sample)
+        assert (code, out) == (2, "")
+        assert one_error_line(err) == "SchemaError"
+
+    @pytest.mark.parametrize("key", ["nope", "label"])
+    def test_sample_key_outside_the_features_is_unknown(self, tmp_path, capsys, key):
+        code, out, err = self.explain_sample(capsys, tmp_path, {"f0": 0.5, "f1": 0.5, key: 1})
+        assert (code, out) == (2, "")
+        assert json.loads(err)["message"] == f"unknown column {key!r}"
+
 
 class TestEvaluate:
     def test_round_trip_reproduces_stats(self, tmp_path, capsys):
@@ -389,6 +416,30 @@ class TestEvaluate:
         assert json.loads(err)["error"] == "SchemaError"
 
 
+    @pytest.mark.parametrize(
+        "payload", [5, {"rules": 5}, {"candidates": 5}, [5], [{"rules": "f0"}], None]
+    )
+    def test_malformed_rules_file_is_a_data_error(self, tmp_path, capsys, payload):
+        rules = tmp_path / "rules.json"
+        rules.write_text(json.dumps(payload))
+        code, out, err = run(
+            capsys, "evaluate", "--data", FIXTURES / "two_mode.csv",
+            "--target-column", "label", "--rules", rules,
+        )
+        assert (code, out) == (2, "")
+        assert one_error_line(err) == "SchemaError"
+
+    def test_unknown_rule_feature(self, tmp_path, capsys):
+        rules = tmp_path / "rules.json"
+        rules.write_text(json.dumps([{"rules": [{"feature": "nope", "op": "eq", "value": 1}]}]))
+        code, out, err = run(
+            capsys, "evaluate", "--data", FIXTURES / "two_mode.csv",
+            "--target-column", "label", "--rules", rules,
+        )
+        assert (code, out) == (2, "")
+        assert json.loads(err)["message"] == "unknown column 'nope'"
+
+
 class TestThreshold:
     def test_roc_threshold(self, tmp_path, capsys):
         data = tmp_path / "p.csv"
@@ -440,6 +491,26 @@ class TestSynth:
         payload = json.loads(meta.read_text())
         assert payload["modes"][0]["rows_inside"] >= 120
         assert payload["target_count"] == payload["modes"][0]["target_inside"]
+
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"n_rows": 10},
+            [1, 2],
+            {"n_rows": 10, "n_features": 1,
+             "modes": [{"bounds": 5, "purity": 1.0, "weight": 0.5}]},
+            {"n_rows": "ten", "n_features": 1},
+            {"n_rows": 10, "n_features": 1, "modes": [[0.2, 0.4]]},
+            {"n_rows": 10, "n_features": 1, "domain": [[0, 1, 2]]},
+        ],
+    )
+    def test_malformed_spec_is_a_spec_error(self, tmp_path, capsys, spec):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        code, out, err = run(capsys, "synth", "--spec-file", path, "--out", tmp_path / "d.csv")
+        assert (code, out) == (2, "")
+        assert one_error_line(err) == "SpecError"
 
 
 class TestOracle:
@@ -519,3 +590,85 @@ class TestUnreadableCsv:
         code, out, err = self.select(capsys, self.write(tmp_path, body.encode()))
         assert (code, out) == (2, "")
         assert one_error_line(err) == "ParseError"
+
+
+class TestColumnProjection:
+    """Each subcommand converts only the columns it reads; cells of the other
+    columns are width-checked and never parsed."""
+
+    GOLDEN = FIXTURES / "golden"
+    SEARCH = [
+        "--target-column", "label", "--features", "f0,f1",
+        "--min-support", "150", "--max-rules", "2", "--n-grids", "10",
+    ]
+
+    @pytest.fixture()
+    def wide_csv(self, tmp_path):
+        """two_mode.csv with unread columns around and between f0 and f1; one
+        of them holds a cell that is no number."""
+        lines = (FIXTURES / "two_mode.csv").read_text().splitlines()
+        wide = ["z,f0,junk,f1,label"]
+        for i, line in enumerate(lines[1:]):
+            f0, f1, label = line.split(",")
+            wide.append(f"{'abc' if i == 7 else i},{f0},{i % 3},{f1},{label}")
+        path = tmp_path / "wide.csv"
+        path.write_text("\n".join(wide) + "\n")
+        return path
+
+    def output(self, capsys, tmp_path, *argv):
+        out = tmp_path / "out.json"
+        code, _, _ = run(capsys, *argv, "--out", out)
+        assert code == 0
+        return out.read_bytes()
+
+    def test_extract_bytes_match_the_golden_file(self, wide_csv, tmp_path, capsys):
+        got = self.output(capsys, tmp_path, "extract", "--data", wide_csv, *self.SEARCH,
+                          "--strategy", "uniform")
+        assert got == (self.GOLDEN / "extract_uniform.json").read_bytes()
+
+    def test_explain_bytes_match_the_golden_file(self, wide_csv, tmp_path, capsys):
+        got = self.output(capsys, tmp_path, "explain", "--data", wide_csv, *self.SEARCH,
+                          "--row-index", "3")
+        assert got == (self.GOLDEN / "explain.json").read_bytes()
+
+    def test_evaluate_bytes_match_the_golden_file(self, wide_csv, tmp_path, capsys):
+        got = self.output(capsys, tmp_path, "evaluate", "--data", wide_csv,
+                          "--target-column", "label",
+                          "--rules", self.GOLDEN / "extract_uniform.json")
+        assert got == (self.GOLDEN / "evaluate.json").read_bytes()
+
+    def test_extract_skips_a_bad_cell_in_an_unread_column(self, wide_csv, capsys):
+        code, out, _ = run(
+            capsys, "extract", "--data", wide_csv, "--target-column", "label",
+            "--features", "f0", "--min-support", "150", "--max-rules", "1",
+        )
+        assert code == 0
+        assert json.loads(out)["features"] == ["f0"]
+
+    def test_threshold_reads_two_columns(self, wide_csv, capsys):
+        code, out, _ = run(
+            capsys, "threshold", "--data", wide_csv,
+            "--prediction-column", "f0", "--label-column", "label",
+        )
+        assert code == 0
+        assert "threshold" in json.loads(out)
+
+    @pytest.mark.parametrize("command", ["oracle", "select-features"])
+    def test_commands_that_read_every_column_fail(self, wide_csv, capsys, command):
+        args = {
+            "oracle": ["--target-column", "label", "--min-support", "150",
+                       "--max-rules", "1"],
+            "select-features": ["--weights", "1,1,1,1,1"],
+        }[command]
+        code, out, err = run(capsys, command, "--data", wide_csv, *args)
+        assert (code, out) == (2, "")
+        assert one_error_line(err) == "ParseError"
+        assert json.loads(err)["message"] == "cannot parse 'abc' as a number (row 7, column 'z')"
+
+    def test_unknown_feature_is_named(self, wide_csv, capsys):
+        code, out, err = run(
+            capsys, "extract", "--data", wide_csv, "--target-column", "label",
+            "--features", "f0,nope", "--min-support", "150", "--max-rules", "1",
+        )
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "SchemaError", "message": "unknown column 'nope'"}

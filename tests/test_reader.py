@@ -4,10 +4,13 @@
 the same categorical values and the same errors (type, message, ``row``,
 ``column``) as ``helpers.ref_load_csv`` / ``ref_load_importance_matrix`` on
 any text: quoted fields, every line ending, BOM, blank lines, odd numbers and
-bad cells on either side of a chunk boundary.
+bad cells on either side of a chunk boundary. ``load_csv(..., columns=S)``
+must match the reference restricted to ``S``.
 """
 
 from __future__ import annotations
+
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ import pytest
 from regionrules import load_csv, tabular
 from regionrules.attribution import load_importance_matrix
 from regionrules.errors import DomainError, ParseError, SchemaError
+from regionrules.tabular import KINDS
 
 from helpers import ref_load_csv, ref_load_importance_matrix
 
@@ -107,6 +111,27 @@ def check_table_parity(path, schema, missing=""):
     return got_err
 
 
+def ref_load_projected(path, schema, missing, columns):
+    """The reference table restricted to ``columns``: the unread columns are
+    read as categorical, which never fails on a cell, then dropped."""
+    read = set(columns)
+    unread = {n: "categorical" for n, k in schema.items() if n not in read and k in KINDS}
+    table = ref_load_csv(path, {**schema, **unread}, missing)
+    return table.drop(unread)
+
+
+def check_projection_parity(path, schema, missing, columns):
+    got, got_err = outcome(load_csv, path, schema, missing, columns)
+    want, want_err = outcome(ref_load_projected, path, schema, missing, columns)
+    if want_err is not None:
+        assert got_err is not None, f"expected {want_err!r}"
+        assert_same_error(got_err, want_err)
+    else:
+        assert got_err is None, f"unexpected {got_err!r}"
+        assert_same_table(got, want)
+    return got_err
+
+
 def check_matrix_parity(path):
     got, got_err = outcome(load_importance_matrix, path)
     want, want_err = outcome(ref_load_importance_matrix, path)
@@ -138,6 +163,21 @@ def test_random_tables_match_the_reference(seed, tmp_path, monkeypatch):
     text = random_text(rng, kinds, missing, int(rng.integers(0, 40)), odd)
     schema = {f"c{j}": k for j, k in enumerate(kinds)}
     check_table_parity(write(tmp_path, text), schema, missing)
+
+
+@pytest.mark.parametrize("seed", range(150))
+def test_random_projections_match_the_reference(seed, tmp_path, monkeypatch):
+    rng = np.random.default_rng(20_000 + seed)
+    monkeypatch.setattr(tabular, "_CHUNK_ROWS", int(rng.integers(1, 9)))
+    kinds = [str(k) for k in rng.choice(["numeric", "categorical"], int(rng.integers(2, 6)))]
+    kinds[int(rng.integers(len(kinds)))] = "categorical"
+    missing = str(rng.choice(MISSING_TOKENS))
+    odd = float(rng.choice([0.0, 0.01, 0.05, 0.1]))
+    text = random_text(rng, kinds, missing, int(rng.integers(0, 40)), odd)
+    schema = {f"c{j}": k for j, k in enumerate(kinds)}
+    # any order, repeats allowed; the table comes back in header order
+    columns = [str(c) for c in rng.choice(list(schema), int(rng.integers(0, len(kinds) + 2)))]
+    check_projection_parity(write(tmp_path, text), schema, missing, columns)
 
 
 @pytest.mark.parametrize("seed", range(80))
@@ -264,3 +304,50 @@ def test_oversized_quoted_field_is_a_parse_error(load, tmp_path):
             load_csv(path, {"a": "numeric", "b": "numeric"})
         else:
             load_importance_matrix(path)
+
+
+def test_projection_keeps_header_order_and_skips_unread_cells(tmp_path):
+    path = write(tmp_path, "a,b,c\n1,x,abc\n2,y,1e999\n")
+    table = load_csv(path, {"a": "numeric", "b": "categorical", "c": "numeric"},
+                     columns=["b", "a", "b"])
+    assert table.feature_names == ["a", "b"]
+    assert table.column("a").values.tolist() == [1.0, 2.0]
+    with pytest.raises(ParseError, match="cannot parse 'abc'"):
+        load_csv(path, {"a": "numeric", "b": "categorical", "c": "numeric"}, columns=["c"])
+
+
+def test_projection_reports_a_ragged_row_at_its_file_row(tmp_path):
+    path = write(tmp_path, _numbers_text(2 * CHUNK + 50, {3: "abc,1.0", 2 * CHUNK + 5: "1.0"}))
+    schema = {"c0": "numeric", "c1": "numeric"}
+    for columns in (["c0"], ["c1"], []):
+        err = check_projection_parity(path, schema, "", columns)
+        assert isinstance(err, ParseError) and err.row == 2 * CHUNK + 5
+
+
+def test_bad_cell_in_an_unread_column_is_not_an_error(tmp_path):
+    path = write(tmp_path, _numbers_text(CHUNK + 20, {CHUNK + 3: "abc,1e999,1"}, width=3))
+    schema = {"c0": "numeric", "c1": "numeric", "c2": "numeric"}
+    assert check_projection_parity(path, schema, "", ["c2"]) is None
+    assert check_projection_parity(path, schema, "", ["c2", "c1"]).column == "c1"
+    assert check_projection_parity(path, schema, "", ["c0", "c1"]).column == "c0"
+
+
+@pytest.mark.parametrize(
+    "text, schema, message",
+    [
+        ("a,b\n1,2\n", {"a": "numeric", "b": "numeric"}, "unknown column 'z'"),
+        ("a,a,b\n1,2,3\n", {"a": "numeric", "b": "numeric"}, "duplicate header names"),
+        ("a,b\n1,2\n", {"a": "numeric", "b": "text"}, "unknown kind 'text'"),
+        ("a,b\n1,2\n", {"a": "numeric"}, "schema does not cover column 'b'"),
+    ],
+)
+def test_header_errors_hold_for_unread_columns(text, schema, message, tmp_path):
+    with pytest.raises(SchemaError, match=message):
+        load_csv(write(tmp_path, text), schema, columns=["a", "z"] if "z" in message else ["a"])
+
+
+def test_defaultdict_schema_gives_undeclared_columns_the_default_kind(tmp_path):
+    path = write(tmp_path, "a,b,c\n1,x,2\n")
+    table = load_csv(path, defaultdict(lambda: "numeric", {"b": "categorical"}))
+    assert [c.kind for c in table.columns] == ["numeric", "categorical", "numeric"]
+    check_table_parity(path, {"a": "numeric", "b": "categorical", "c": "numeric"})
