@@ -21,7 +21,7 @@ from .errors import (
     ParseError,
     ShapeError,
 )
-from .itemsets import fp_growth, pick_feature_set
+from .itemsets import FrequentItemset, fp_growth, pick_feature_set
 from .tabular import read_csv
 
 SCORER_KINDS = ("linear", "logistic")
@@ -120,7 +120,7 @@ def importance_scores(
 
 @dataclass(frozen=True, eq=False)
 class ImportanceMatrix:
-    """Rows of non-negative per-feature importance scores.
+    """Rows of finite, non-negative per-feature importance scores.
 
     When built from a scorer there is one row per usable (baseline, test)
     pair and ``pair_index`` records which; matrices loaded from file leave
@@ -135,8 +135,8 @@ class ImportanceMatrix:
         arr = np.asarray(self.scores, dtype=np.float64)
         if arr.ndim != 2:
             raise ShapeError(f"scores must be 2-d, got shape {arr.shape}")
-        if np.isnan(arr).any() or (arr < 0).any():
-            raise DomainError("importance scores must be non-negative")
+        if not np.isfinite(arr).all() or (arr < 0).any():
+            raise DomainError("importance scores must be finite and non-negative")
         object.__setattr__(self, "scores", arr)
 
     @property
@@ -207,7 +207,7 @@ def _required_rows(gamma: float, n_rows: int) -> int:
 
 
 def scan_threshold(matrix: ImportanceMatrix, gamma: float = DEFAULT_COVERAGE) -> float:
-    """Scan score values upward for the smallest threshold leaving one qualifying feature.
+    """Smallest positive score at which exactly one feature covers ``gamma`` of the rows.
 
     If the qualifying-feature count drops from >= 2 straight to 0, the largest
     threshold still keeping >= 2 features is returned instead.
@@ -215,24 +215,23 @@ def scan_threshold(matrix: ImportanceMatrix, gamma: float = DEFAULT_COVERAGE) ->
     if matrix.n_rows == 0:
         raise EmptyMatrixError("cannot scan an empty importance matrix")
     required = _required_rows(gamma, matrix.n_rows)
-
-    thresholds = np.unique(matrix.scores)
-    thresholds = thresholds[thresholds > 0.0]
-    if len(thresholds) == 0:
+    scores = matrix.scores
+    if not (scores > 0.0).any():
         raise NoFeatureError("matrix has no positive scores")
 
-    counts = np.empty((matrix.n_features, len(thresholds)), dtype=np.int64)
-    for f in range(matrix.n_features):
-        col = np.sort(matrix.scores[:, f])
-        counts[f] = matrix.n_rows - np.searchsorted(col, thresholds, side="left")
-    qual = (counts >= required).sum(axis=0)  # non-increasing in the threshold
-
-    ones = np.nonzero(qual == 1)[0]
+    # feature f covers enough rows at threshold t iff t <= q_f, its
+    # required-th largest score; with q(1) >= q(2) the two largest q_f,
+    # exactly one feature qualifies on (q(2), q(1)] and two or more on (0, q(2)]
+    k = matrix.n_rows - required  # 0-based rank, ascending, of the required-th largest
+    q = np.sort(np.partition(scores, k, axis=0)[k])
+    q1 = q[-1]
+    q2 = q[-2] if len(q) > 1 else 0.0  # scores are >= 0, so zeros never lie above q2
+    ones = scores[(scores > q2) & (scores <= q1)]
     if len(ones):
-        return float(thresholds[ones[0]])
-    multi = np.nonzero(qual >= 2)[0]
+        return float(ones.min())
+    multi = scores[(scores > 0.0) & (scores <= q2)]
     if len(multi):
-        return float(thresholds[multi[-1]])
+        return float(multi.max())
     raise NoFeatureError("no feature clears the frequency requirement at any threshold")
 
 
@@ -249,25 +248,34 @@ def to_feature_sequences(matrix: ImportanceMatrix, j_th: float) -> list[frozense
     return out
 
 
+def select_features(
+    matrix: ImportanceMatrix,
+    gamma: float = DEFAULT_COVERAGE,
+    c_min: int = 1,
+    k_max: int | None = None,
+) -> tuple[float, list[FrequentItemset], frozenset[int]]:
+    """Threshold scan, per-row feature sets, FP-Growth and the itemset choice.
+
+    Returns ``(j_th, itemsets, chosen)``: the itemsets have at most ``k_max``
+    features (default: all) and occur in >= ``c_min`` rows; ``chosen`` is
+    the longest, most frequent one."""
+    if c_min < 1:
+        raise ConfigError(f"c_min must be >= 1, got {c_min}")
+    if k_max is None:
+        k_max = matrix.n_features
+    j_th = scan_threshold(matrix, gamma)
+    itemsets = fp_growth(to_feature_sequences(matrix, j_th), c_min, k_max)
+    return j_th, itemsets, pick_feature_set(itemsets)
+
+
 def select_frequent_features(
     matrix: ImportanceMatrix,
     gamma: float = DEFAULT_COVERAGE,
     c_min: int = 1,
     k_max: int | None = None,
 ) -> frozenset[int]:
-    """Feature subset that is frequently important together.
-
-    Composes the threshold scan, the row-to-sequence transform, FP-Growth,
-    and the longest/most-frequent itemset choice.
-    """
-    if c_min < 1:
-        raise ConfigError(f"c_min must be >= 1, got {c_min}")
-    if k_max is None:
-        k_max = matrix.n_features
-    j_th = scan_threshold(matrix, gamma)
-    sequences = to_feature_sequences(matrix, j_th)
-    itemsets = fp_growth(sequences, c_min, k_max)
-    return pick_feature_set(itemsets)
+    """The ``chosen`` feature set of :func:`select_features`."""
+    return select_features(matrix, gamma, c_min, k_max)[2]
 
 
 def class_centroids(samples, class_ids) -> tuple[np.ndarray, list]:

@@ -28,8 +28,7 @@ from .attribution import (
     build_importance_matrix,
     class_centroids,
     load_importance_matrix,
-    scan_threshold,
-    to_feature_sequences,
+    select_features,
 )
 from .errors import (
     ConfigError,
@@ -57,7 +56,6 @@ from .extraction import (
     numeric_histogram,
     select_best,
 )
-from .itemsets import fp_growth, pick_feature_set
 from .serialize import rule_set_to_dict, rules_from_dict
 from .synth import PlantedMode, PlantedSpec, brute_force_best, gen_synthetic
 from .tabular import (
@@ -332,17 +330,15 @@ def _cmd_select_features(settings: _Settings) -> int:
             eps=settings.get("shift_eps", attribution.DEFAULT_SHIFT_EPS),
         )
 
-    gamma = settings.get("coverage", attribution.DEFAULT_COVERAGE)
-    c_min = settings.get("min_count")
-    if c_min is None:
-        c_min = max(1, round(0.1 * matrix.n_rows))
-    k_max = settings.get("max_size", matrix.n_features)
+    c_min = settings.get("min_count", max(1, round(0.1 * matrix.n_rows)))
 
     log.info("importance matrix: %d rows x %d features", matrix.n_rows, matrix.n_features)
-    j_th = scan_threshold(matrix, gamma)
-    sequences = to_feature_sequences(matrix, j_th)
-    itemsets = fp_growth(sequences, c_min, k_max)
-    chosen = pick_feature_set(itemsets)
+    j_th, itemsets, chosen = select_features(
+        matrix,
+        settings.get("coverage", attribution.DEFAULT_COVERAGE),
+        c_min,
+        settings.get("max_size"),
+    )
 
     _emit(
         {

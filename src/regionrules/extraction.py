@@ -75,6 +75,9 @@ class Rule:
 class RuleStats:
     """Exact counts behind a rule set's support/confidence/fitness."""
 
+    NO_SUPPORT = "rule set is satisfied by no row"
+    NO_TARGET = "target subgroup is empty"
+
     support: int
     tp: int
     target_count: int
@@ -84,13 +87,13 @@ class RuleStats:
     @property
     def confidence(self) -> Fraction:
         if self.support == 0:
-            raise ZeroSupportError("confidence undefined at zero support")
+            raise ZeroSupportError(self.NO_SUPPORT)
         return Fraction(self.tp, self.support)
 
     @property
     def fitness(self) -> Fraction:
         if self.target_count == 0:
-            raise NoTargetError("fitness undefined with an empty target subgroup")
+            raise NoTargetError(self.NO_TARGET)
         return Fraction(2 * self.tp - self.support, self.target_count)
 
 
@@ -567,7 +570,7 @@ def build_rule_tree(
         )
     target_count = int(flags.sum())
     if target_count == 0:
-        raise NoTargetError("target subgroup is empty")
+        raise NoTargetError(RuleStats.NO_TARGET)
     if samples is not None:
         missing = [f for f in features if f not in samples or _is_missing_value(samples[f])]
         if missing:

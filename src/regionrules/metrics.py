@@ -12,8 +12,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NoTargetError, ZeroSupportError
-from .extraction import CategoryEquals, Rule, RuleSet, rule_set_mask
+from .errors import NoTargetError
+from .extraction import CategoryEquals, Rule, RuleSet, RuleStats, rule_set_mask
 from .serialize import rule_to_dict
 from .tabular import NUMERIC, DataTable, target_flags
 
@@ -27,25 +27,22 @@ def support(table: DataTable, rule_set) -> int:
     return int(rule_set_mask(table, _rules_of(rule_set)).sum())
 
 
+def rule_set_stats(table: DataTable, target, rule_set) -> RuleStats:
+    """Exact support, covered target rows and target subgroup size of a rule set."""
+    flags = target_flags(target)
+    mask = rule_set_mask(table, _rules_of(rule_set))
+    tp = int((mask & flags).sum())
+    return RuleStats(int(mask.sum()), tp, int(flags.sum()), table.n_rows)
+
+
 def confidence(table: DataTable, target, rule_set) -> float:
     """Share of rule-satisfying rows that belong to the target subgroup."""
-    mask = rule_set_mask(table, _rules_of(rule_set))
-    n = int(mask.sum())
-    if n == 0:
-        raise ZeroSupportError("rule set is satisfied by no row")
-    return int((mask & target_flags(target)).sum()) / n
+    return float(rule_set_stats(table, target, rule_set).confidence)
 
 
 def fitness(table: DataTable, target, rule_set) -> float:
     """(covered target rows - covered non-target rows) / target subgroup size."""
-    flags = target_flags(target)
-    target_count = int(flags.sum())
-    if target_count == 0:
-        raise NoTargetError("target subgroup is empty")
-    mask = rule_set_mask(table, _rules_of(rule_set))
-    tp = int((mask & flags).sum())
-    fp = int(mask.sum()) - tp
-    return (tp - fp) / target_count
+    return float(rule_set_stats(table, target, rule_set).fitness)
 
 
 @dataclass(frozen=True)
@@ -67,28 +64,23 @@ class EvaluationReport:
 def evaluate(table: DataTable, target, rule_sets) -> EvaluationReport:
     """Recompute support/confidence/fitness for each rule set from scratch."""
     flags = target_flags(target)
-    target_count = int(flags.sum())
-    if target_count == 0:
-        raise NoTargetError("target subgroup is empty")
+    if not flags.any():
+        raise NoTargetError(RuleStats.NO_TARGET)
     entries = []
     for rs in rule_sets:
         rules = tuple(_rules_of(rs))
-        mask = rule_set_mask(table, rules)
-        n = int(mask.sum())
-        tp = int((mask & flags).sum())
-        if n == 0:
-            raise ZeroSupportError("rule set is satisfied by no row")
+        stats = rule_set_stats(table, flags, rules)
         entries.append(
             RuleSetEvaluation(
                 rules=rules,
-                support=n,
-                tp=tp,
-                confidence=tp / n,
-                fitness=(2 * tp - n) / target_count,
+                support=stats.support,
+                tp=stats.tp,
+                confidence=float(stats.confidence),
+                fitness=float(stats.fitness),
             )
         )
     return EvaluationReport(
-        entries=tuple(entries), target_count=target_count, table_rows=table.n_rows
+        entries=tuple(entries), target_count=int(flags.sum()), table_rows=table.n_rows
     )
 
 

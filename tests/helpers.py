@@ -9,8 +9,8 @@ from fractions import Fraction
 import numpy as np
 
 from regionrules import DataTable, FeatureColumn, TargetIndicator
-from regionrules.attribution import ImportanceMatrix
-from regionrules.errors import ParseError, SchemaError
+from regionrules.attribution import DEFAULT_COVERAGE, ImportanceMatrix, _required_rows
+from regionrules.errors import EmptyMatrixError, NoFeatureError, ParseError, SchemaError
 from regionrules.extraction import ExtractionConfig
 from regionrules.tabular import KINDS, NUMERIC
 
@@ -156,6 +156,36 @@ def ref_screen_interval(vals, flags, cond, lo: float, hi: float) -> tuple[int, i
     """(rows, target rows) under ``cond`` whose value lies in [lo, hi]."""
     pm = cond & ~np.isnan(vals) & (vals >= lo) & (vals <= hi)
     return int(pm.sum()), int((pm & flags).sum())
+
+
+def ref_scan_threshold(matrix: ImportanceMatrix, gamma: float = DEFAULT_COVERAGE) -> float:
+    """Scan score values upward for the smallest threshold leaving one qualifying feature.
+
+    If the qualifying-feature count drops from >= 2 straight to 0, the largest
+    threshold still keeping >= 2 features is returned instead.
+    """
+    if matrix.n_rows == 0:
+        raise EmptyMatrixError("cannot scan an empty importance matrix")
+    required = _required_rows(gamma, matrix.n_rows)
+
+    thresholds = np.unique(matrix.scores)
+    thresholds = thresholds[thresholds > 0.0]
+    if len(thresholds) == 0:
+        raise NoFeatureError("matrix has no positive scores")
+
+    counts = np.empty((matrix.n_features, len(thresholds)), dtype=np.int64)
+    for f in range(matrix.n_features):
+        col = np.sort(matrix.scores[:, f])
+        counts[f] = matrix.n_rows - np.searchsorted(col, thresholds, side="left")
+    qual = (counts >= required).sum(axis=0)  # non-increasing in the threshold
+
+    ones = np.nonzero(qual == 1)[0]
+    if len(ones):
+        return float(thresholds[ones[0]])
+    multi = np.nonzero(qual >= 2)[0]
+    if len(multi):
+        return float(thresholds[multi[-1]])
+    raise NoFeatureError("no feature clears the frequency requirement at any threshold")
 
 
 def qual_count(scores: np.ndarray, threshold: float, gamma: float) -> int:

@@ -52,6 +52,23 @@ class TestSelectFeatures:
         assert code == 4
         assert json.loads(err)["error"] == "NoFeatureError"
 
+    def test_infinite_score_is_a_data_error(self, tmp_path, capsys):
+        m = tmp_path / "imp.csv"
+        m.write_text("a,b\n0,inf\n0,inf\n")
+        code, out, err = run(capsys, "select-features", "--matrix", m, "--coverage", "1.0")
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "DomainError"
+
+    def test_min_count_zero_is_a_usage_error_before_the_scan(self, tmp_path, capsys):
+        m = tmp_path / "imp.csv"
+        m.write_text("a,b\n0,0\n0,0\n")  # the scan would fail with NoFeatureError
+        code, out, err = run(capsys, "select-features", "--matrix", m, "--min-count", "0")
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "ConfigError"
+
     def test_missing_input_file(self, tmp_path, capsys):
         code, _, err = run(capsys, "select-features", "--matrix", tmp_path / "nope.csv")
         assert code == 2
@@ -405,7 +422,9 @@ class TestEvaluate:
         rule = {"feature": "group", "op": "eq", "value": None}
         code, _, err = self.evaluate(capsys, missing_group_csv, rule)
         assert code == 2
-        assert json.loads(err)["error"] == "ZeroSupportError"
+        assert json.loads(err) == {
+            "error": "ZeroSupportError", "message": "rule set is satisfied by no row"
+        }
 
     @pytest.mark.parametrize("key", ["feature", "value"])
     def test_rule_without_a_field_is_a_data_error(self, missing_group_csv, capsys, key):

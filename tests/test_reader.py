@@ -26,7 +26,8 @@ CHUNK = tabular._CHUNK_ROWS
 
 # cells float() accepts as finite numbers, including forms beyond plain ASCII
 NUMBERS = ["0", "-0", "1.5", " 1.5 ", "1_000", "١٢٣", "1e-320", "-2.25E3", "+7"]
-# cells the numeric parser must reject (or, for importance files, may accept)
+# cells the numeric parser must reject (an importance file parses nan and the
+# infinities, then rejects them as out-of-domain scores)
 ODD_NUMBERS = ["nan", "NaN", "inf", "-Infinity", "1e999", "abc", "1,5", "0x10", "1__0", " "]
 TEXTS = ["a", "b", "été", "a,b", 'say "hi"', '""', "two\nlines", "cr\rhere", " x "]
 MISSING_TOKENS = ["", "NA", "?"]
@@ -269,10 +270,9 @@ def test_matrix_reports_the_first_bad_row_before_a_later_ragged_row(tmp_path):
     assert check_table_parity(path, {"c0": "numeric", "c1": "numeric"}).row == CHUNK + 3
 
 
-def test_matrix_accepts_infinite_scores(tmp_path):
+def test_matrix_rejects_infinite_scores(tmp_path):
     path = write(tmp_path, "a,b\ninf,1\n1e999,0\n")
-    check_matrix_parity(path)
-    assert np.isinf(load_importance_matrix(path).scores[:, 0]).all()
+    assert isinstance(check_matrix_parity(path), DomainError)
 
 
 def test_plain_text_does_not_go_through_csv_reader(tmp_path, monkeypatch):
