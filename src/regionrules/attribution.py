@@ -183,10 +183,10 @@ def build_importance_matrix(
 
 def load_importance_matrix(path) -> ImportanceMatrix:
     """Read an importance matrix CSV whose header names the features."""
-    header, chunks = read_csv(path, "importance matrix file is empty")
+    header, read = read_csv(path, "importance matrix file is empty")
     width = len(header)
     blocks = [np.empty((0, width))]
-    for rows, cells in chunks:
+    for rows, cells in read(range(width)):
         try:
             block = np.fromiter(map(float, cells), np.float64, len(cells))
         except ValueError:
@@ -258,11 +258,13 @@ def select_features(
 
     Returns ``(j_th, itemsets, chosen)``: the itemsets have at most ``k_max``
     features (default: all) and occur in >= ``c_min`` rows; ``chosen`` is
-    the longest, most frequent one."""
+    the longest, most frequent one. Both bounds are checked before the scan."""
     if c_min < 1:
         raise ConfigError(f"c_min must be >= 1, got {c_min}")
     if k_max is None:
         k_max = matrix.n_features
+    elif k_max < 1:
+        raise ConfigError(f"k_max must be >= 1, got {k_max}")
     j_th = scan_threshold(matrix, gamma)
     itemsets = fp_growth(to_feature_sequences(matrix, j_th), c_min, k_max)
     return j_th, itemsets, pick_feature_set(itemsets)

@@ -13,8 +13,8 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import chain, islice, pairwise, repeat
+from functools import cached_property, partial
+from itertools import chain, islice, repeat
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -189,66 +189,94 @@ def target_flags(target) -> np.ndarray:
     return np.asarray(target, dtype=bool)
 
 
-_CHUNK_ROWS = 8192  # rows whose cell strings are alive at once
+_CHUNK_ROWS = 2048  # rows whose cell strings are alive at once
 
 
 def read_csv(path, empty_message: str):
-    """Header and ``(rows, cells)`` chunks of a comma-separated UTF-8 file:
-    ``rows`` is the range of a chunk's 0-based data rows, ``cells`` their cell
-    strings in row order, so column ``j`` is ``cells[j::len(header)]``. A row
-    of the wrong width raises ParseError once the rows before it have been
-    yielded. Undecodable bytes and malformed quoting raise ParseError too."""
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            text = fh.read().removeprefix("\ufeff")  # not utf-8-sig: offsets count the BOM
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path} is not UTF-8: {exc.reason} at byte {exc.start}") from None
-    tokens = _tokens(text, path)
-    _, header = next(tokens, (None, None))
-    if header is None:
-        raise ParseError(empty_message)
-    return header, _chunks(tokens, len(header))
-
-
-def _tokens(text: str, path):
-    """(cells per row, the cells in row order) of the header row, then of each chunk."""
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()
+    """Header and reader of a comma-separated UTF-8 file. ``read(js)``, called
+    once with increasing column indices, yields ``(rows, cells)`` chunks:
+    ``rows`` is the range of their 0-based data rows, ``cells`` the strings of
+    their ``js`` cells in row order (column ``js[k]`` is ``cells[k::len(js)]``).
+    A row of the wrong width raises ParseError once the rows before it have
+    been yielded; so do undecodable bytes and malformed quoting."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path} is not UTF-8: {exc.reason} at byte {exc.start}") from None
+    data = data.removeprefix(b"\xef\xbb\xbf")  # only now: offsets count the BOM
+    # newline positions, 64 KiB at a time: a file-sized mask raised peak memory
+    buf = np.frombuffer(data, np.uint8)
+    ends = np.concatenate([np.empty(0, np.intp)] + [
+        np.flatnonzero(buf[i : i + 65536] == ord("\n")) + i for i in range(0, len(buf), 65536)])
+    ends = ends if data.endswith(b"\n") else np.append(ends, len(data))  # a last line end
+    lengths = np.diff(ends, prepend=-1) - 1
     # csv.reader splits a line on "," alone unless it is blank, longer than
-    # the field size limit or holds a quote, CR or NUL
-    if lines and "" not in lines and not any(c in text for c in '"\r\0'):
-        if max(map(len, lines)) <= csv.field_size_limit():
-            del text
-            for a, b in pairwise([0, *range(1, len(lines), _CHUNK_ROWS), len(lines)]):
-                chunk = lines[a:b]  # a line holds one cell more than it has commas
-                widths = [c + 1 for c in map(str.count, chunk, repeat(","))]
-                yield widths, ",".join(chunk).split(",")
-            return
+    # the field size limit or holds a quote, CR or NUL; a line's length in
+    # bytes is never below its length in characters
+    if 0 < lengths.min() and lengths.max() <= csv.field_size_limit():
+        if not any(c in data for c in (b'"', b"\r", b"\0")):
+            header = data[: ends[0]].decode().split(",")
+            return header, partial(_split_cells, buf, ends, len(header))
+    rows = _csv_rows(data.decode(), path)
+    if (header := next(rows, [None])[0]) is None:
+        raise ParseError(empty_message)
+    return header, partial(_csv_cells, rows, len(header))
+
+
+def _split_cells(buf: np.ndarray, ends: np.ndarray, width: int, js):
+    """read(js) of a file without quotes, CR, NUL or blank lines whose line
+    ends, the header's first, are ``ends``. Commas and newlines never occur
+    inside a multi-byte UTF-8 sequence, so cells are cut at byte offsets and
+    only the ``js`` cells become strings."""
+    comma = np.uint8(ord(","))
+    is_read = np.isin(np.arange(width), js)
+    for start in range(0, len(ends) - 1, _CHUNK_ROWS):
+        lo = ends[start] + 1
+        line_ends = ends[start + 1 : start + 1 + _CHUNK_ROWS] - lo
+        chunk = np.append(buf[lo : lo + line_ends[-1]], comma)  # a writable copy
+        chunk[line_ends] = comma  # every cell now ends in a comma
+        seps = np.flatnonzero(chunk == comma)
+        widths = np.diff(np.searchsorted(seps, line_ends, side="right"), prepend=0)
+        bad = np.flatnonzero(widths != width)
+        n = int(bad[0]) if len(bad) else len(widths)
+        picked = chunk[: seps[n * width - 1] + 1 if n else 0]
+        if len(js) < width:  # the read cells, each with its comma
+            sizes = np.diff(seps[: n * width], prepend=-1)
+            picked = picked[np.repeat(np.tile(is_read, n), sizes)]
+        cells = picked.tobytes().decode().split(",")
+        cells.pop()
+        if n:
+            yield range(start, start + n), cells
+        if n < len(widths):
+            i = start + n
+            raise ParseError(f"row {i} has {widths[n]} cells, expected {width}", row=i)
+
+
+def _csv_rows(text: str, path):
+    """Lists of rows of ``text``: the header row alone, then chunks."""
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         for n in chain([1], repeat(_CHUNK_ROWS)):
             if not (rows := list(islice(reader, n))):
                 return
-            yield list(map(len, rows)), list(chain.from_iterable(rows))
+            yield rows
     except csv.Error as exc:
         raise ParseError(f"{path}: malformed CSV at line {reader.line_num}: {exc}") from None
 
 
-def _chunks(tokens, width: int):
+def _csv_cells(chunks, width: int, js):
+    """read(js) of a file that csv.reader splits."""
     start = 0
-    for widths, flat in tokens:
-        n = len(widths)
-        if set(widths) != {width}:
-            n = next(i for i, w in enumerate(widths) if w != width)
-            i = start + n
-            bad = ParseError(f"row {i} has {widths[n]} cells, expected {width}", row=i)
-            del flat[n * width :]
+    for rows in chunks:
+        n = next((i for i, row in enumerate(rows) if len(row) != width), len(rows))
         if n:
-            yield range(start, start + n), flat
-        if n < len(widths):
-            raise bad
+            yield range(start, start + n), [row[j] for row in rows[:n] for j in js]
         start += n
+        if n < len(rows):
+            raise ParseError(f"row {start} has {len(rows[n])} cells, expected {width}", row=start)
 
 
 def _numeric_cells(cells: list[str], rows: range, missing: str, name: str) -> np.ndarray:
@@ -285,7 +313,7 @@ def load_csv(
     ``missing_token`` become missing markers. Of the bad cells, the first one
     in the leftmost bad column is reported.
     """
-    header, chunks = read_csv(path, "file is empty (no header row)")
+    header, read = read_csv(path, "file is empty (no header row)")
     index = {name: j for j, name in enumerate(header)}
     if len(index) != len(header):
         dupes = sorted({h for h in header if header.count(h) > 1})
@@ -302,9 +330,9 @@ def load_csv(
         raise SchemaError(f"unknown column {unknown[0]!r}")
     parts: dict[int, list[np.ndarray]] = {j: [] for j in sorted(map(index.get, wanted))}
     bad = []  # (column, row, ParseError), raised once every row's width is checked
-    for rows, cells in chunks:
-        for j, part in parts.items():
-            name, column = header[j], cells[j :: len(header)]
+    for rows, cells in read(list(parts)):
+        for k, (j, part) in enumerate(parts.items()):
+            name, column = header[j], cells[k :: len(parts)]
             if schema[name] == CATEGORICAL:
                 column = [None if c == missing_token else c for c in column]
                 part.append(np.array(column, dtype=object))

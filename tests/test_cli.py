@@ -69,6 +69,16 @@ class TestSelectFeatures:
         assert out == ""
         assert json.loads(err)["error"] == "ConfigError"
 
+    @pytest.mark.parametrize("matrix", ["a,b\n0,0\n0,0\n", "a,b\n1,0\n1,0\n"])
+    def test_max_size_zero_is_a_usage_error_whatever_the_scores(self, matrix, tmp_path, capsys):
+        m = tmp_path / "imp.csv"
+        m.write_text(matrix)  # the scan fails on the first, FP-Growth rejects k_max on the second
+        code, out, err = run(capsys, "select-features", "--matrix", m, "--max-size", "0")
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err) == {"error": "ConfigError", "message": "k_max must be >= 1, got 0"}
+
     def test_missing_input_file(self, tmp_path, capsys):
         code, _, err = run(capsys, "select-features", "--matrix", tmp_path / "nope.csv")
         assert code == 2

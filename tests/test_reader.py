@@ -5,15 +5,21 @@ the same categorical values and the same errors (type, message, ``row``,
 ``column``) as ``helpers.ref_load_csv`` / ``ref_load_importance_matrix`` on
 any text: quoted fields, every line ending, BOM, blank lines, odd numbers and
 bad cells on either side of a chunk boundary. ``load_csv(..., columns=S)``
-must match the reference restricted to ``S``.
+must match the reference restricted to ``S``. A file without quotes, CR, NUL
+or blank lines is cut at byte offsets and never reaches ``csv.reader``.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 from collections import defaultdict
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from regionrules import load_csv, tabular
 from regionrules.attribution import load_importance_matrix
@@ -351,3 +357,139 @@ def test_defaultdict_schema_gives_undeclared_columns_the_default_kind(tmp_path):
     table = load_csv(path, defaultdict(lambda: "numeric", {"b": "categorical"}))
     assert [c.kind for c in table.columns] == ["numeric", "categorical", "numeric"]
     check_table_parity(path, {"a": "numeric", "b": "categorical", "c": "numeric"})
+
+
+@pytest.fixture()
+def no_csv_reader(monkeypatch):
+    """The loaders see a csv module whose reader fails; the references do not."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("csv.reader called on plain text")
+
+    fake = SimpleNamespace(reader=refuse, field_size_limit=csv.field_size_limit, Error=csv.Error)
+    monkeypatch.setattr(tabular, "csv", fake)
+
+
+UVW = {"u": "categorical", "v": "numeric", "w": "numeric"}
+
+
+@pytest.mark.parametrize(
+    "text, columns, values",
+    [  # (file, columns read, the last read column's values)
+        ("u,v,w\nété,١٢٣,1.5\n١٢٣,été,-2\n", ["w"], [1.5, -2.0]),  # multi-byte cells unread
+        ("u,v,w\nété,١٢٣,1.5\n١٢٣,été,-2\n", ["u", "w"], [1.5, -2.0]),
+        ("\ufeffu,v,w\nx,1,2\ny,3,4", ["u", "v", "w"], [2.0, 4.0]),  # BOM, no final newline
+        ("u,v,w\n", ["u", "v", "w"], []),  # header only
+        ("u,v,w", ["v"], []),
+        ("u,v,w\nx,1,abc\ny,2,1e999\n", ["u"], ["x", "y"]),  # only the first column
+        ("u,v,w\nx,abc,1\n١٢٣,1e999,2\n", ["w"], [1.0, 2.0]),  # only the last column
+    ],
+)
+def test_plain_files_are_cut_at_byte_offsets(text, columns, values, tmp_path, no_csv_reader):
+    path = write(tmp_path, text)
+    assert check_projection_parity(path, UVW, "", columns) is None
+    assert load_csv(path, UVW, columns=columns).columns[-1].values.tolist() == values
+    check_matrix_parity(path)
+
+
+@pytest.mark.parametrize("ragged", [2, 5])
+def test_ragged_last_row_of_a_chunk_on_the_byte_path(ragged, tmp_path, monkeypatch, no_csv_reader):
+    monkeypatch.setattr(tabular, "_CHUNK_ROWS", 3)
+    path = write(tmp_path, _numbers_text(9, {ragged: "1.0"}))
+    schema = {"c0": "numeric", "c1": "numeric"}
+    for columns in (["c0", "c1"], ["c0"], ["c1"], []):
+        assert check_projection_parity(path, schema, "", columns).row == ragged
+    assert check_matrix_parity(path).row == ragged
+
+
+@pytest.fixture()
+def field_limit_50():
+    old = csv.field_size_limit(50)
+    yield
+    csv.field_size_limit(old)
+
+
+def test_unquoted_line_longer_than_the_field_limit(tmp_path, field_limit_50):
+    header = ",".join(f"c{j}" for j in range(30))
+    path = write(tmp_path, f"{header}\n{','.join(['1.5'] * 30)}\n")  # 119 bytes, short cells
+    assert check_table_parity(path, dict.fromkeys(header.split(","), "numeric")) is None
+    path = write(tmp_path, "a,b\n1," + "9" * 60 + "\n")  # one cell over the limit
+    with pytest.raises(csv.Error) as want:
+        ref_load_csv(path, {"a": "numeric", "b": "numeric"})
+    with pytest.raises(ParseError, match="malformed CSV") as got:
+        load_csv(path, {"a": "numeric", "b": "numeric"})
+    assert str(got.value).endswith(str(want.value))
+
+
+FUZZ_ALPHABET = [b"a", b"1", b".", b"-", b" ", b",", b"\n", b"\r", b'"', b"\0",
+                 "é".encode(), "١".encode(), b"\xef\xbb\xbf", b"\xff"]
+# tokens of a cell on the byte path: no separator, quote, CR, NUL or bad byte
+PLAIN_TOKENS = [t for t in FUZZ_ALPHABET if t not in (b",", b"\n", b"\r", b'"', b"\0", b"\xff")]
+
+
+@st.composite
+def fuzz_bytes(draw):
+    """Either any string of alphabet tokens, or rows of plain cells, most of
+    them of one width, with an occasional token from the whole alphabet."""
+    if draw(st.booleans()):
+        return b"".join(draw(st.lists(st.sampled_from(FUZZ_ALPHABET), max_size=60)))
+    tokens = st.sampled_from(PLAIN_TOKENS) | st.sampled_from(FUZZ_ALPHABET)
+    cell = st.lists(st.sampled_from(PLAIN_TOKENS), max_size=3).map(b"".join)
+    width = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(cell, min_size=width, max_size=width + (draw(st.booleans()))),
+                         min_size=1, max_size=8))
+    text = b"\n".join(b",".join(row) for row in rows) + draw(st.sampled_from([b"", b"\n"]))
+    if draw(st.integers(0, 4)) == 0:
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(tokens) + text[at:]
+    return text
+
+
+def same_outcome(load, ref, *args):
+    """Require ``load`` to fail as ``ref`` does (a csv.Error becomes a
+    ParseError); ``(got, want)`` when both load, else ``(None, None)``."""
+    try:
+        want, want_err = outcome(ref, *args)
+    except csv.Error as exc:
+        with pytest.raises(ParseError, match="malformed CSV") as got:
+            load(*args)
+        assert str(got.value).endswith(str(exc))
+        return None, None
+    got, got_err = outcome(load, *args)
+    if want_err is not None:
+        assert got_err is not None, f"expected {want_err!r}"
+        assert_same_error(got_err, want_err)
+        return None, None
+    assert got_err is None, f"unexpected {got_err!r}"
+    return got, want
+
+
+@settings(max_examples=250, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(fuzz_bytes(), st.data())
+def test_fuzzed_bytes_match_the_reference(tmp_path, raw, data):
+    path = tmp_path / "fuzz.csv"
+    path.write_bytes(raw)
+    with mock.patch.object(tabular, "_CHUNK_ROWS", data.draw(st.integers(1, 4))):
+        try:
+            text = raw.decode("utf-8").removeprefix("\ufeff")
+        except UnicodeDecodeError as exc:
+            message = f"{path} is not UTF-8: {exc.reason} at byte {exc.start}"
+            for load, args in ((load_csv, (path, {})), (load_importance_matrix, (path,))):
+                with pytest.raises(ParseError) as got:
+                    load(*args)
+                assert str(got.value) == message
+            return
+        try:
+            header = next(csv.reader(io.StringIO(text, newline="")), [])
+        except csv.Error:
+            header = []
+        schema = {name: data.draw(st.sampled_from(KINDS)) for name in header}
+        columns = data.draw(st.lists(st.sampled_from(header), max_size=4)) if header else []
+        missing = data.draw(st.sampled_from(["", "a", "1"]))
+        got, want = same_outcome(load_csv, ref_load_projected, path, schema, missing, columns)
+        if got is not None:
+            assert_same_table(got, want)
+        got, want = same_outcome(load_importance_matrix, ref_load_importance_matrix, path)
+        if got is not None:
+            assert got.feature_names == want.feature_names
+            assert got.scores.tobytes() == want.scores.tobytes()
