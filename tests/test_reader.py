@@ -252,22 +252,37 @@ def _numbers_text(n_rows: int, bad: dict, width: int = 2) -> str:
     return "\n".join(lines) + "\n"
 
 
+# a fixed chunk size, so the cases below sit on the same boundaries whatever
+# the loaders' default chunk is
+BIG = 8192
+
+
 @pytest.mark.parametrize(
     "bad, expected_row",
     [
-        ({CHUNK + 37: "1.0,abc"}, CHUNK + 37),  # a bad cell in the second chunk
-        ({2 * CHUNK + 5: "1.0"}, 2 * CHUNK + 5),  # a ragged row in the third
-        ({CHUNK - 1: "1.0,1e999"}, CHUNK - 1),  # the last row of the first chunk
-        ({CHUNK: "inf,1.0"}, CHUNK),  # the first row of the second chunk
-        ({3: "1.0,abc", CHUNK + 10: "abc,1.0"}, CHUNK + 10),  # leftmost column first
-        ({3: "abc,1.0", 2 * CHUNK + 1: "1.0"}, 2 * CHUNK + 1),  # widths before cells
+        ({BIG + 37: "1.0,abc"}, BIG + 37),  # a bad cell in the second chunk
+        ({2 * BIG + 5: "1.0"}, 2 * BIG + 5),  # a ragged row in the third
+        ({BIG - 1: "1.0,1e999"}, BIG - 1),  # the last row of the first chunk
+        ({BIG: "inf,1.0"}, BIG),  # the first row of the second chunk
+        ({3: "1.0,abc", BIG + 10: "abc,1.0"}, BIG + 10),  # leftmost column first
+        ({3: "abc,1.0", 2 * BIG + 1: "1.0"}, 2 * BIG + 1),  # widths before cells
     ],
 )
-def test_error_rows_count_over_the_whole_file(bad, expected_row, tmp_path):
-    path = write(tmp_path, _numbers_text(2 * CHUNK + 50, bad))
+def test_error_rows_count_over_the_whole_file(bad, expected_row, tmp_path, monkeypatch):
+    monkeypatch.setattr(tabular, "_CHUNK_ROWS", BIG)
+    path = write(tmp_path, _numbers_text(2 * BIG + 50, bad))
     err = check_table_parity(path, {"c0": "numeric", "c1": "numeric"})
     assert err.row == expected_row
     check_matrix_parity(path)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_error_rows_at_the_default_chunk_boundary(offset, tmp_path):
+    row = CHUNK + offset
+    path = write(tmp_path, _numbers_text(2 * CHUNK + 5, {row: "1.0,abc", row + 1: "1.0"}))
+    assert check_table_parity(path, {"c0": "numeric", "c1": "numeric"}).row == row + 1
+    assert check_projection_parity(path, {"c0": "numeric", "c1": "numeric"}, "", ["c1"]).row == row + 1
+    assert check_matrix_parity(path).row == row
 
 
 def test_matrix_reports_the_first_bad_row_before_a_later_ragged_row(tmp_path):
