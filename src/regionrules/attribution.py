@@ -291,6 +291,8 @@ def class_centroids(samples, class_ids) -> tuple[np.ndarray, list]:
 
 def balanced_sample(class_ids, m_total: int, seed: int = 0) -> np.ndarray:
     """Indices of a seeded class-balanced subset, m_total/n_classes per class."""
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     ids = np.asarray(class_ids)
     classes = sorted(set(ids.tolist()))
     per_class = max(1, m_total // len(classes))

@@ -2,7 +2,8 @@
 
 Subcommands: select-features, extract, explain, evaluate, threshold, synth,
 oracle. Every knob can come from a flat ``key = value`` config file
-(``--config``); command-line flags override file values. Exit codes: 0 ok,
+(``--config``): its entries become the subcommand's defaults, and
+command-line flags override them. Exit codes: 0 ok,
 1 usage error, 2 data error, 3 infeasible configuration, 4 empty result.
 Log verbosity comes from the ``REGIONRULES_LOG`` environment variable.
 """
@@ -16,7 +17,7 @@ import logging
 import os
 import sys
 from collections import defaultdict
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,7 @@ from .attribution import (
     load_importance_matrix,
     select_features,
 )
+from .binning import STRATEGIES
 from .errors import (
     ConfigError,
     DegenerateFeatureError,
@@ -93,29 +95,22 @@ _DATA_ERRORS = (
 _INFEASIBLE_ERRORS = (InfeasibleConfigError, TooLargeError)
 _EMPTY_ERRORS = (EmptyResultError, NoFeatureError, EmptyMatrixError)
 
-# converters used for values coming from a config file
-_TYPES = {
-    "min_support": int,
-    "max_rules": int,
-    "n_grids": int,
-    "max_branches": int,
-    "min_confidence": float,
-    "seed": int,
-    "coverage": float,
-    "min_count": int,
-    "max_size": int,
-    "ig_steps": int,
-    "shift_eps": float,
-    "threshold": float,
-    "bias": float,
-    "num_tests": int,
-    "row_index": int,
-}
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2; we use 1
         self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
+
+    def set_config_defaults(self, path: str) -> None:
+        """Make a config file's entries the defaults of this parser's options,
+        each converted by its option's ``type``; other keys are ignored."""
+        actions = {a.dest: a for a in self._actions}
+        for key, raw in _load_config_file(path).items():
+            if (action := actions.get(key)) is None:
+                continue
+            try:
+                self.set_defaults(**{key: action.type(raw) if action.type else raw})
+            except ValueError:
+                raise ConfigError(f"config key {key!r}: cannot parse {raw!r}") from None
 
 
 def _load_config_file(path: str) -> dict:
@@ -131,27 +126,11 @@ def _load_config_file(path: str) -> dict:
     return out
 
 
-class _Settings:
-    """Three layers: command-line flag > config-file entry > default."""
-
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.file = _load_config_file(args.config) if getattr(args, "config", None) else {}
-
-    def get(self, key: str, default=None, required: bool = False):
-        value = getattr(self.args, key, None)
-        if value is None and key in self.file:
-            raw = self.file[key]
-            conv = _TYPES.get(key, str)
-            try:
-                value = conv(raw)
-            except ValueError:
-                raise ConfigError(f"config key {key!r}: cannot parse {raw!r}") from None
-        if value is None:
-            value = default
-        if value is None and required:
-            raise ConfigError(f"missing required option --{key.replace('_', '-')}")
-        return value
+def _required(args: argparse.Namespace, key: str):
+    value = getattr(args, key)
+    if value is None:
+        raise ConfigError(f"missing required option --{key.replace('_', '-')}")
+    return value
 
 
 def _emit(payload: dict, out_path: str | None) -> None:
@@ -162,12 +141,18 @@ def _emit(payload: dict, out_path: str | None) -> None:
         Path(out_path).write_text(text + "\n", encoding="utf-8")
 
 
-def _schema_from_settings(settings: _Settings) -> defaultdict[str, str]:
+def _empty_result(reason: str, payload: dict, out_path: str | None) -> int:
+    """Write ``payload`` marked as empty, report ``reason`` on stderr, exit 4."""
+    _emit({**payload, "result": "none", "reason": reason}, out_path)
+    _fail(EmptyResultError(reason))
+    return EMPTY_EXIT
+
+
+def _schema(args: argparse.Namespace) -> defaultdict[str, str]:
     """Kinds from --schema; every other column gets --default-kind."""
     declared = {}
-    raw = settings.get("schema")
-    if raw:
-        for part in raw.split(","):
+    if args.schema:
+        for part in args.schema.split(","):
             part = part.strip()
             if not part:
                 continue
@@ -175,43 +160,38 @@ def _schema_from_settings(settings: _Settings) -> defaultdict[str, str]:
                 raise ConfigError(f"--schema entry {part!r} must be name:kind")
             name, kind = part.rsplit(":", 1)
             declared[name.strip()] = kind.strip()
-    default_kind = settings.get("default_kind", "numeric")
+    default_kind = args.default_kind
     if default_kind not in (NUMERIC, CATEGORICAL):
         raise ConfigError("--default-kind must be numeric or categorical")
     return defaultdict(lambda: default_kind, declared)
 
 
-def _load_table(settings: _Settings, columns: list[str] | None = None) -> DataTable:
+def _load_table(args: argparse.Namespace, columns: list[str] | None = None) -> DataTable:
     """The --data table; only ``columns`` (default: all) are read."""
-    path = settings.get("data", required=True)
-    missing = settings.get("missing_token", "")
-    table = load_csv(path, _schema_from_settings(settings), missing, columns)
+    path = _required(args, "data")
+    table = load_csv(path, _schema(args), args.missing_token, columns)
     log.info("loaded %d rows x %d columns from %s", table.n_rows, len(table.columns), path)
     return table
 
 
-def _target_column(settings: _Settings) -> str:
+def _target_column(args: argparse.Namespace) -> str:
     """The one column given by --prediction-column or --target-column."""
-    pred_col = settings.get("prediction_column")
-    target_col = settings.get("target_column")
-    if (pred_col is None) == (target_col is None):
+    if (args.prediction_column is None) == (args.target_column is None):
         raise ConfigError("give exactly one of --prediction-column / --target-column")
-    return target_col if pred_col is None else pred_col
+    return args.target_column if args.prediction_column is None else args.prediction_column
 
 
-def _build_target(settings: _Settings, table: DataTable):
+def _build_target(args: argparse.Namespace, table: DataTable):
     """Target indicator plus the feature table with the target column dropped."""
-    name = _target_column(settings)
+    name = _target_column(args)
     col = table.column(name)
-    target_class = settings.get("target_class", "1")
-    if settings.get("prediction_column") is not None:
+    label = args.target_class
+    if args.prediction_column is not None:
         if col.kind != NUMERIC:
             raise SchemaError(f"prediction column {name!r} must be numeric")
-        threshold = settings.get("threshold", required=True)
-        target = make_target(col.values, float(threshold), target_label=target_class)
+        target = make_target(col.values, _required(args, "threshold"), target_label=label)
     else:
-        flags = _class_flags(col, target_class)
-        target = TargetIndicator(flags=flags, target_label=target_class)
+        target = TargetIndicator(flags=_class_flags(col, label), target_label=label)
     return target, table.drop([name])
 
 
@@ -227,11 +207,10 @@ def _class_flags(col: FeatureColumn, label: str) -> np.ndarray:
         ) from None
 
 
-def _feature_names(settings: _Settings) -> list[str] | None:
+def _feature_names(args: argparse.Namespace) -> list[str] | None:
     """Names from --features or --features-file; None when neither is given."""
-    raw = settings.get("features")
+    raw, ffile = args.features, args.features_file
     names = [n.strip() for n in raw.split(",") if n.strip()] if raw else None
-    ffile = settings.get("features_file")
     if ffile:
         payload = json.loads(Path(ffile).read_text(encoding="utf-8"))
         names = payload.get("features") if isinstance(payload, dict) else None
@@ -242,26 +221,22 @@ def _feature_names(settings: _Settings) -> list[str] | None:
     return names
 
 
-def _search_inputs(settings: _Settings, extra=()):
+def _search_inputs(args: argparse.Namespace, extra=()):
     """Target, feature table and searched feature indices; of the data, only
     the target column, the searched features and ``extra`` names are read."""
-    names = _feature_names(settings)
-    columns = None if names is None else [*names, *extra, _target_column(settings)]
-    target, features = _build_target(settings, _load_table(settings, columns))
+    names = _feature_names(args)
+    columns = None if names is None else [*names, *extra, _target_column(args)]
+    target, features = _build_target(args, _load_table(args, columns))
     names = features.feature_names if names is None else names
     return target, features, [features.column_index(n) for n in names]
 
 
-def _extraction_config(settings: _Settings) -> ExtractionConfig:
-    return ExtractionConfig(
-        min_support=settings.get("min_support", required=True),
-        max_rules=settings.get("max_rules", required=True),
-        n_grids=settings.get("n_grids", 7),
-        max_branches=settings.get("max_branches", 3),
-        strategy=settings.get("strategy", "uniform"),
-        min_confidence=settings.get("min_confidence", 0.8),
-        seed=settings.get("seed", 0),
-    )
+def _extraction_config(args: argparse.Namespace) -> ExtractionConfig:
+    """The search knobs the subcommand was given; the rest keep their defaults."""
+    for key in ("min_support", "max_rules"):
+        _required(args, key)
+    knobs = {f.name: getattr(args, f.name, None) for f in fields(ExtractionConfig)}
+    return ExtractionConfig(**{k: v for k, v in knobs.items() if v is not None})
 
 
 def _root_histograms(table, target, feature_indices, config) -> list[dict]:
@@ -292,53 +267,40 @@ def _root_histograms(table, target, feature_indices, config) -> list[dict]:
 # subcommand handlers
 
 
-def _cmd_select_features(settings: _Settings) -> int:
-    matrix_path = settings.get("matrix")
-    if matrix_path:
-        matrix = load_importance_matrix(matrix_path)
+def _cmd_select_features(args: argparse.Namespace) -> int:
+    if args.matrix:
+        matrix = load_importance_matrix(args.matrix)
         names = list(matrix.feature_names)
     else:
-        table = _load_table(settings)
+        table = _load_table(args)
         names = table.feature_names
         X = table.numeric_matrix(names)
         if np.isnan(X).any():
             raise DomainError("scorer features must not contain missing values")
-        weights = str(settings.get("weights", required=True))
+        weights = _required(args, "weights")
         try:
             weights = tuple(float(w) for w in weights.split(","))
         except ValueError:
             raise ConfigError(f"--weights must be numbers, got {weights!r}") from None
-        scorer = DifferentiableScorer(
-            kind=settings.get("scorer_kind", "logistic"),
-            weights=weights,
-            bias=settings.get("bias", 0.0),
-        )
+        scorer = DifferentiableScorer(kind=args.scorer_kind, weights=weights, bias=args.bias)
         if scorer.n_features != X.shape[1]:
             raise ShapeError(
                 f"{scorer.n_features} weights for {X.shape[1]} feature columns"
             )
         scores = scorer.score(X)
-        classes = (np.asarray(scores) > settings.get("threshold", 0.5)).astype(int)
+        classes = (np.asarray(scores) > args.threshold).astype(int)
         baselines, _ = class_centroids(X, classes)
-        tests = X[balanced_sample(classes, settings.get("num_tests", 200),
-                                  settings.get("seed", 0))]
+        tests = X[balanced_sample(classes, args.num_tests, args.seed)]
         matrix = build_importance_matrix(
-            scorer,
-            baselines,
-            tests,
-            steps=settings.get("ig_steps", attribution.DEFAULT_IG_STEPS),
-            eps=settings.get("shift_eps", attribution.DEFAULT_SHIFT_EPS),
+            scorer, baselines, tests, steps=args.ig_steps, eps=args.shift_eps
         )
 
-    c_min = settings.get("min_count", max(1, round(0.1 * matrix.n_rows)))
+    c_min = args.min_count
+    if c_min is None:  # 10% of the matrix rows
+        c_min = max(1, round(0.1 * matrix.n_rows))
 
     log.info("importance matrix: %d rows x %d features", matrix.n_rows, matrix.n_features)
-    j_th, itemsets, chosen = select_features(
-        matrix,
-        settings.get("coverage", attribution.DEFAULT_COVERAGE),
-        c_min,
-        settings.get("max_size"),
-    )
+    j_th, itemsets, chosen = select_features(matrix, args.coverage, c_min, args.max_size)
 
     _emit(
         {
@@ -349,14 +311,14 @@ def _cmd_select_features(settings: _Settings) -> int:
                 for s in itemsets
             ],
         },
-        settings.get("out"),
+        args.out,
     )
     return 0
 
 
-def _cmd_extract(settings: _Settings) -> int:
-    target, features, feature_indices = _search_inputs(settings)
-    config = _extraction_config(settings)
+def _cmd_extract(args: argparse.Namespace) -> int:
+    target, features, feature_indices = _search_inputs(args)
+    config = _extraction_config(args)
 
     log.info("target subgroup: %d of %d rows", target.count, features.n_rows)
     candidates = extract_rule_sets(features, target, feature_indices, config)
@@ -375,15 +337,14 @@ def _cmd_extract(settings: _Settings) -> int:
         "histograms": _root_histograms(features, target, feature_indices, config),
     }
     if not candidates:
-        payload["result"] = "none"
-        payload["reason"] = "no candidate rule reached ratio > 1 at the support floor"
-    _emit(payload, settings.get("out"))
-    return 0 if candidates else EMPTY_EXIT
+        reason = "no candidate rule reached ratio > 1 at the support floor"
+        return _empty_result(reason, payload, args.out)
+    _emit(payload, args.out)
+    return 0
 
 
-def _cmd_explain(settings: _Settings) -> int:
-    row_index = settings.get("row_index")
-    sample_file = settings.get("sample_file")
+def _cmd_explain(args: argparse.Namespace) -> int:
+    row_index, sample_file = args.row_index, args.sample_file
     if (row_index is None) == (sample_file is None):
         raise ConfigError("give exactly one of --row-index / --sample-file")
     named = {}
@@ -391,22 +352,18 @@ def _cmd_explain(settings: _Settings) -> int:
         named = json.loads(Path(sample_file).read_text(encoding="utf-8"))
         if not isinstance(named, dict):
             raise SchemaError(f"{sample_file}: the sample must map feature names to values")
-    target, features, feature_indices = _search_inputs(settings, extra=list(named))
-    config = _extraction_config(settings)
+    target, features, feature_indices = _search_inputs(args, extra=list(named))
+    config = _extraction_config(args)
 
     if row_index is not None:
-        named = features.row_values(int(row_index))  # RangeError on bad index
+        named = features.row_values(row_index)  # RangeError on bad index
     sample = {features.column_index(k): v for k, v in named.items()}
     sample = {f: sample[f] for f in feature_indices if f in sample}
 
     result = extract_local(features, target, feature_indices, sample, config)
     if result is None:
-        _emit(
-            {"result": "none", "reason": "no value interval has ratio above 1"},
-            settings.get("out"),
-        )
-        return EMPTY_EXIT
-    _emit(rule_set_to_dict(features, result), settings.get("out"))
+        return _empty_result("no value interval has ratio above 1", {}, args.out)
+    _emit(rule_set_to_dict(features, result), args.out)
     return 0
 
 
@@ -423,32 +380,29 @@ def _rule_dicts_from_file(path: str) -> list[dict]:
     return payload
 
 
-def _cmd_evaluate(settings: _Settings) -> int:
-    dicts = _rule_dicts_from_file(settings.get("rules", required=True))
+def _cmd_evaluate(args: argparse.Namespace) -> int:
+    dicts = _rule_dicts_from_file(_required(args, "rules"))
     names = [r.get("feature") for d in dicts for r in d["rules"] if isinstance(r, dict)]
     names = [n for n in names if isinstance(n, str)]  # the rest fail as malformed rules
-    table = _load_table(settings, [*names, _target_column(settings)])
-    target, features = _build_target(settings, table)
+    table = _load_table(args, [*names, _target_column(args)])
+    target, features = _build_target(args, table)
     rule_lists = [rules_from_dict(features, d) for d in dicts]
     report = metrics.evaluate(features, target, rule_lists)
-    out = settings.get("out")
-    if out not in (None, "-"):
-        _emit(metrics.report_json(features, report), out)
+    if args.out not in (None, "-"):
+        _emit(metrics.report_json(features, report), args.out)
     print(metrics.report_text(features, report))
     return 0
 
 
-def _cmd_threshold(settings: _Settings) -> int:
-    pred_name = settings.get("prediction_column", required=True)
-    label_name = settings.get("label_column", required=True)
-    table = _load_table(settings, [pred_name, label_name])
+def _cmd_threshold(args: argparse.Namespace) -> int:
+    pred_name = _required(args, "prediction_column")
+    label_name = _required(args, "label_column")
+    table = _load_table(args, [pred_name, label_name])
     pred = table.column(pred_name)
     if pred.kind != NUMERIC:
         raise SchemaError("prediction column must be numeric")
-    label_col = table.column(label_name)
-    labels = _class_flags(label_col, settings.get("label_class", "1"))
-    t = roc_threshold(pred.values, labels)
-    _emit({"threshold": t}, settings.get("out"))
+    labels = _class_flags(table.column(label_name), args.label_class)
+    _emit({"threshold": roc_threshold(pred.values, labels)}, args.out)
     return 0
 
 
@@ -477,11 +431,11 @@ def _planted_spec(path: str) -> PlantedSpec:
         raise SpecError(f"{path}: malformed spec: {exc}") from None
 
 
-def _cmd_synth(settings: _Settings) -> int:
-    spec = _planted_spec(settings.get("spec_file", required=True))
+def _cmd_synth(args: argparse.Namespace) -> int:
+    spec = _planted_spec(_required(args, "spec_file"))
     table, target, summaries = gen_synthetic(spec)
 
-    out_path = settings.get("out", required=True)
+    out_path = _required(args, "out")
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(table.feature_names + ["label"])
@@ -490,8 +444,7 @@ def _cmd_synth(settings: _Settings) -> int:
             row.append("1" if target.flags[i] else "0")
             writer.writerow(row)
 
-    meta_out = settings.get("meta_out")
-    if meta_out:
+    if args.meta_out:
         _emit(
             {
                 "n_rows": spec.n_rows,
@@ -506,24 +459,25 @@ def _cmd_synth(settings: _Settings) -> int:
                     for s in summaries
                 ],
             },
-            meta_out,
+            args.meta_out,
         )
     return 0
 
 
-def _cmd_oracle(settings: _Settings) -> int:
-    table = _load_table(settings)
-    target, features = _build_target(settings, table)
+def _cmd_oracle(args: argparse.Namespace) -> int:
+    table = _load_table(args)
+    target, features = _build_target(args, table)
+    config = _extraction_config(args)
     best = brute_force_best(
         features,
         target,
-        n_g=settings.get("n_grids", 7),
-        l_max=settings.get("max_rules", required=True),
-        s_min=settings.get("min_support", required=True),
-        strategy=settings.get("strategy", "uniform"),
-        seed=settings.get("seed", 0),
+        n_g=config.n_grids,
+        l_max=config.max_rules,
+        s_min=config.min_support,
+        strategy=config.strategy,
+        seed=config.seed,
     )
-    _emit(rule_set_to_dict(features, best), settings.get("out"))
+    _emit(rule_set_to_dict(features, best), args.out)
     return 0
 
 
@@ -540,9 +494,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def _add_data_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", help="feature CSV with a header row")
     p.add_argument("--schema", help="comma-separated name:kind declarations")
-    p.add_argument("--default-kind", dest="default_kind",
+    p.add_argument("--default-kind", dest="default_kind", default=NUMERIC,
                    help="kind for columns not named in --schema (default numeric)")
-    p.add_argument("--missing-token", dest="missing_token",
+    p.add_argument("--missing-token", dest="missing_token", default="",
                    help="cell value treated as missing (default empty string)")
 
 
@@ -553,19 +507,25 @@ def _add_target_options(p: argparse.ArgumentParser) -> None:
                    help="strict decision threshold for the prediction column")
     p.add_argument("--target-column", dest="target_column",
                    help="column holding the predicted class labels")
-    p.add_argument("--target-class", dest="target_class",
+    p.add_argument("--target-class", dest="target_class", default="1",
                    help="class of interest (default '1')")
+
+
+def _add_search_options(p: argparse.ArgumentParser) -> None:
+    """Knobs shared by the search and the oracle; their defaults are
+    ExtractionConfig's."""
+    p.add_argument("--min-support", dest="min_support", type=int)
+    p.add_argument("--max-rules", dest="max_rules", type=int)
+    p.add_argument("--n-grids", dest="n_grids", type=int)
+    p.add_argument("--strategy", choices=STRATEGIES)
 
 
 def _add_extraction_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--features", help="comma-separated feature names to search")
     p.add_argument("--features-file", dest="features_file",
                    help="JSON from select-features ({'features': [...]})")
-    p.add_argument("--min-support", dest="min_support", type=int)
-    p.add_argument("--max-rules", dest="max_rules", type=int)
-    p.add_argument("--n-grids", dest="n_grids", type=int)
+    _add_search_options(p)
     p.add_argument("--max-branches", dest="max_branches", type=int)
-    p.add_argument("--strategy", choices=("uniform", "kmeans", "quantile"))
     p.add_argument("--min-confidence", dest="min_confidence", type=float)
 
 
@@ -573,24 +533,28 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="regionrules", description=__doc__)
     parser.add_argument("--version", action="version", version="%(prog)s 0.1.0")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    parser.commands = sub.choices
 
     p = sub.add_parser("select-features", help="mine a frequently important feature set")
     _add_common(p)
     _add_data_options(p)
     p.add_argument("--matrix", help="importance-matrix CSV (header = feature names)")
-    p.add_argument("--scorer-kind", dest="scorer_kind", choices=("linear", "logistic"))
+    p.add_argument("--scorer-kind", dest="scorer_kind", choices=attribution.SCORER_KINDS,
+                   default="logistic")
     p.add_argument("--weights", help="comma-separated scorer weights")
-    p.add_argument("--bias", type=float)
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--num-tests", dest="num_tests", type=int)
-    p.add_argument("--ig-steps", dest="ig_steps", type=int)
-    p.add_argument("--shift-eps", dest="shift_eps", type=float)
-    p.add_argument("--coverage", type=float,
+    p.add_argument("--bias", type=float, default=0.0)
+    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--num-tests", dest="num_tests", type=int, default=200)
+    p.add_argument("--ig-steps", dest="ig_steps", type=int,
+                   default=attribution.DEFAULT_IG_STEPS)
+    p.add_argument("--shift-eps", dest="shift_eps", type=float,
+                   default=attribution.DEFAULT_SHIFT_EPS)
+    p.add_argument("--coverage", type=float, default=attribution.DEFAULT_COVERAGE,
                    help="row share the most frequent feature must keep (default 0.99)")
     p.add_argument("--min-count", dest="min_count", type=int,
                    help="itemset frequency floor (default 10%% of matrix rows)")
     p.add_argument("--max-size", dest="max_size", type=int)
-    p.set_defaults(func=_cmd_select_features)
+    p.set_defaults(func=_cmd_select_features, seed=0)
 
     p = sub.add_parser("extract", help="search rule sets for the target subgroup")
     _add_common(p)
@@ -621,7 +585,7 @@ def build_parser() -> _Parser:
     _add_data_options(p)
     p.add_argument("--prediction-column", dest="prediction_column")
     p.add_argument("--label-column", dest="label_column")
-    p.add_argument("--label-class", dest="label_class")
+    p.add_argument("--label-class", dest="label_class", default="1")
     p.set_defaults(func=_cmd_threshold)
 
     p = sub.add_parser("synth", help="generate a planted-rectangle dataset")
@@ -635,10 +599,7 @@ def build_parser() -> _Parser:
     _add_common(p)
     _add_data_options(p)
     _add_target_options(p)
-    p.add_argument("--min-support", dest="min_support", type=int)
-    p.add_argument("--max-rules", dest="max_rules", type=int)
-    p.add_argument("--n-grids", dest="n_grids", type=int)
-    p.add_argument("--strategy", choices=("uniform", "kmeans", "quantile"))
+    _add_search_options(p)
     p.set_defaults(func=_cmd_oracle)
 
     return parser
@@ -652,8 +613,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse handles -h/usage; normalize the code
         return int(exc.code or 0)
     try:
-        settings = _Settings(args)
-        return args.func(settings)
+        if args.config:
+            parser.commands[args.command].set_config_defaults(args.config)
+            args = parser.parse_args(argv)  # flags override the file's entries
+        return args.func(args)
     except ConfigError as exc:
         _fail(exc)
         return USAGE_EXIT

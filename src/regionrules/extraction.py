@@ -16,7 +16,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .binning import MAX_GRIDS, GridHistogram, merge_grids, sort_and_make_grids, sorted_grid_counts
+from .binning import MAX_GRIDS, STRATEGIES, GridHistogram, merge_grids
+from .binning import sort_and_make_grids, sorted_grid_counts
 from .binning import grid_counts  # noqa: F401  (unused here; perfbench patches this name)
 from .errors import (
     ConfigError,
@@ -131,12 +132,14 @@ class ExtractionConfig:
             raise ConfigError(f"n_grids must be <= {MAX_GRIDS}, got {self.n_grids}")
         if self.max_branches < 1:
             raise ConfigError(f"max_branches must be >= 1, got {self.max_branches}")
-        if self.strategy not in ("uniform", "kmeans", "quantile"):
+        if self.strategy not in STRATEGIES:
             raise ConfigError(f"unknown binning strategy {self.strategy!r}")
         if not 0.0 <= self.min_confidence <= 1.0:
             raise ConfigError(
                 f"min_confidence must be in [0, 1], got {self.min_confidence}"
             )
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def rule_mask(table: DataTable, rule: Rule, rows=slice(None)) -> np.ndarray:
@@ -544,8 +547,15 @@ def _dedupe(rule_sets: list[RuleSet]) -> list[RuleSet]:
     return list(seen.values())
 
 
-def _final_order(rs: RuleSet):
-    return (-rs.stats.fitness, -rs.stats.confidence, -rs.stats.support, rs.canonical_key())
+def _rank(rs: RuleSet):
+    """Best first: fitness, then confidence, then fewer rules, then support."""
+    s = rs.stats
+    return (-s.fitness, -s.confidence, len(rs.rules), -s.support, rs.canonical_key())
+
+
+def _ranked(root: RuleTreeNode) -> list[RuleSet]:
+    """The distinct rule sets of a searched tree in :func:`_rank` order."""
+    return sorted(_dedupe(_collect_rule_sets(root)), key=_rank)
 
 
 def build_rule_tree(
@@ -580,7 +590,7 @@ def build_rule_tree(
             if table.column(f).kind == NUMERIC:
                 try:
                     float(samples[f])
-                except (TypeError, ValueError):
+                except (TypeError, ValueError, OverflowError):
                     raise DomainError(
                         f"sample value {samples[f]!r} for numeric feature "
                         f"{table.column(f).name!r} is not a number"
@@ -603,16 +613,14 @@ def extract_rule_sets(
     feature_set: Iterable[int],
     config: ExtractionConfig,
 ) -> list[RuleSet]:
-    """All candidate rule sets found by the tree search, best fitness first.
+    """All candidate rule sets found by the tree search, best first.
 
-    Every emitted set satisfies the support floor and the rule-count cap;
-    equivalent conjunctions reached along different branches are reported
-    once.
+    Sets are ranked by fitness, then confidence, then fewer rules, then
+    support. Every emitted set satisfies the support floor and the
+    rule-count cap; equivalent conjunctions reached along different branches
+    are reported once.
     """
-    root = build_rule_tree(table, target, feature_set, config)
-    sets = _dedupe(_collect_rule_sets(root))
-    sets.sort(key=_final_order)
-    return sets
+    return _ranked(build_rule_tree(table, target, feature_set, config))
 
 
 def extract_local(
@@ -630,30 +638,14 @@ def extract_local(
     sample's category. Returns ``None`` when no valid rules exist.
     """
     samples = {int(k): v for k, v in sample.items()}
-    root = build_rule_tree(table, target, feature_set, config, samples=samples)
-    sets = _dedupe(_collect_rule_sets(root))
-    if not sets:
-        return None
-    return select_best(sets, config.min_confidence)
+    sets = _ranked(build_rule_tree(table, target, feature_set, config, samples=samples))
+    return select_best(sets, config.min_confidence) if sets else None
 
 
 def select_best(rule_sets: Sequence[RuleSet], min_confidence: float) -> RuleSet:
-    """Max-fitness rule set among those clearing the confidence floor.
-
-    Falls back to the overall max-fitness set when none qualifies. Ties are
-    broken by higher confidence, fewer rules, then larger support.
-    """
+    """The first set in :func:`extract_rule_sets` order whose confidence is
+    at least ``min_confidence``; the first set overall when none is."""
     if not rule_sets:
         raise EmptyResultError("no rule sets to select from")
     qualifying = [rs for rs in rule_sets if rs.stats.confidence >= min_confidence]
-    pool = qualifying if qualifying else list(rule_sets)
-    return min(
-        pool,
-        key=lambda rs: (
-            -rs.stats.fitness,
-            -rs.stats.confidence,
-            len(rs.rules),
-            -rs.stats.support,
-            rs.canonical_key(),
-        ),
-    )
+    return min(qualifying or rule_sets, key=_rank)

@@ -32,7 +32,7 @@ def rule_from_dict(table: DataTable, d: dict) -> Rule:
             return Rule(feature, Interval(float(d["lo"]), float(d["hi"])))
         if op == "eq":
             return Rule(feature, CategoryEquals(d["value"]))
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError, OverflowError):
         raise SchemaError(f"malformed rule {d!r}") from None
     raise SchemaError(f"unknown rule op {op!r}")
 

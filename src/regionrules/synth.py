@@ -16,7 +16,7 @@ from itertools import combinations, product
 import numpy as np
 
 from .binning import make_grids
-from .errors import EmptyResultError, SpecError, TooLargeError
+from .errors import ConfigError, EmptyResultError, SpecError, TooLargeError
 from .extraction import CategoryEquals, Interval, Rule, RuleSet, RuleStats
 from .tabular import NUMERIC, DataTable, FeatureColumn, TargetIndicator, target_flags
 
@@ -56,6 +56,8 @@ class PlantedSpec:
         object.__setattr__(self, "modes", tuple(self.modes))
         if not 0.0 <= self.background_rate <= 1.0:
             raise SpecError("background_rate must be in [0, 1]")
+        if self.seed < 0:
+            raise SpecError(f"seed must be >= 0, got {self.seed}")
         total_weight = 0.0
         for m in self.modes:
             if len(m.bounds) != self.n_features:
@@ -157,6 +159,8 @@ def brute_force_best(
     categorical features, over all feature subsets of size <= l_max. Guarded
     to <= 3 features, n_g <= 8, l_max <= 2.
     """
+    if l_max < 1 or s_min < 1:
+        raise ConfigError(f"l_max and s_min must be >= 1, got {l_max} and {s_min}")
     flags = target_flags(target)
     n_features = len(table.columns)
     if n_features > 3 or n_g > 8 or l_max > 2:

@@ -104,6 +104,7 @@ class DataTable:
     """Ordered collection of equally long typed columns with unique names."""
 
     columns: tuple[FeatureColumn, ...]
+    empty_rows: int = 0  # row count of a table without columns
 
     def __post_init__(self):
         names = [c.name for c in self.columns]
@@ -116,7 +117,7 @@ class DataTable:
 
     @property
     def n_rows(self) -> int:
-        return len(self.columns[0].values) if self.columns else 0
+        return len(self.columns[0].values) if self.columns else self.empty_rows
 
     @property
     def feature_names(self) -> list[str]:
@@ -137,7 +138,7 @@ class DataTable:
 
     def drop(self, names: Iterable[str]) -> "DataTable":
         gone = set(names)
-        return DataTable(tuple(c for c in self.columns if c.name not in gone))
+        return DataTable(tuple(c for c in self.columns if c.name not in gone), self.n_rows)
 
     def numeric_matrix(self, names: Sequence[str] | None = None) -> np.ndarray:
         """Stack numeric columns into an (n_rows, d) float matrix."""

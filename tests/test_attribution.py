@@ -16,6 +16,7 @@ from regionrules import (
 )
 from regionrules.attribution import balanced_sample, class_centroids
 from regionrules.errors import (
+    ConfigError,
     DomainError,
     EmptyMatrixError,
     EmptyResultError,
@@ -212,3 +213,7 @@ class TestBaselineHelpers:
         b = balanced_sample(ids, 20, seed=4)
         assert a.tolist() == b.tolist()
         assert (ids[a] == 0).sum() == (ids[a] == 1).sum() == 10
+
+    def test_balanced_sample_rejects_a_negative_seed(self):
+        with pytest.raises(ConfigError, match="seed"):
+            balanced_sample(np.array([0, 1] * 5), 4, seed=-1)

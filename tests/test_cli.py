@@ -153,13 +153,15 @@ class TestExtract:
         data = tmp_path / "d.csv"
         data.write_text("x,label\n" + "".join(f"{v},1\n" for v in range(20)))
         out = tmp_path / "rules.json"
-        code, _, _ = run(
+        code, _, err = run(
             capsys, "extract", "--data", data, "--target-column", "label",
             "--min-support", "5", "--max-rules", "1", "--out", out,
         )
         assert code == 4
+        assert one_error_line(err) == "EmptyResultError"
         payload = json.loads(out.read_text())
         assert payload["result"] == "none"
+        assert payload["reason"] == json.loads(err)["message"]
         assert payload["candidates"] == []
         assert payload["best"] is None
 
@@ -327,13 +329,14 @@ class TestExplain:
         assert payload["rules"][0]["hi"] == 3.0
 
     def test_outlier_sample_reports_none(self, fixture_csv, capsys):
-        code, out, _ = run(
+        code, out, err = run(
             capsys, "explain", "--data", fixture_csv,
             "--prediction-column", "p", "--threshold", "0.5",
             "--min-support", "8", "--max-rules", "1", "--n-grids", "4",
             "--row-index", "2",  # x = 0.4 sits in the weak first grid
         )
         assert code == 4
+        assert one_error_line(err) == "EmptyResultError"
         payload = json.loads(out)
         assert payload["result"] == "none"
         assert "reason" in payload
@@ -378,6 +381,11 @@ class TestExplain:
         code, out, err = self.explain_sample(capsys, tmp_path, sample)
         assert (code, out) == (2, "")
         assert one_error_line(err) == "SchemaError"
+
+    def test_sample_value_beyond_float_range_is_a_data_error(self, tmp_path, capsys):
+        code, out, err = self.explain_sample(capsys, tmp_path, {"f0": 10**400, "f1": 0.5})
+        assert (code, out) == (2, "")
+        assert one_error_line(err) == "DomainError"
 
     @pytest.mark.parametrize("key", ["nope", "label"])
     def test_sample_key_outside_the_features_is_unknown(self, tmp_path, capsys, key):
@@ -446,7 +454,8 @@ class TestEvaluate:
 
 
     @pytest.mark.parametrize(
-        "payload", [5, {"rules": 5}, {"candidates": 5}, [5], [{"rules": "f0"}], None]
+        "payload", [5, {"rules": 5}, {"candidates": 5}, [5], [{"rules": "f0"}], None,
+                    [{"rules": [{"feature": "f0", "op": "in_interval", "lo": 0, "hi": 10**400}]}]]
     )
     def test_malformed_rules_file_is_a_data_error(self, tmp_path, capsys, payload):
         rules = tmp_path / "rules.json"
@@ -457,6 +466,16 @@ class TestEvaluate:
         )
         assert (code, out) == (2, "")
         assert one_error_line(err) == "SchemaError"
+
+    def test_empty_rule_list_covers_every_row(self, tmp_path, capsys):
+        rules, report = tmp_path / "rules.json", tmp_path / "report.json"
+        rules.write_text('[{"rules": []}]')
+        code, _, _ = run(
+            capsys, "evaluate", "--data", FIXTURES / "two_mode.csv", "--target-column", "label",
+            "--rules", rules, "--out", report,
+        )
+        assert code == 0
+        assert json.loads(report.read_text())["rule_sets"][0]["support"] == 2000
 
     def test_unknown_rule_feature(self, tmp_path, capsys):
         rules = tmp_path / "rules.json"
@@ -553,6 +572,93 @@ class TestOracle:
         payload = json.loads(out)
         assert payload["support"] == 10
         assert payload["fitness"] == 0.6
+
+    @pytest.mark.parametrize("min_support, max_rules", [(150, 0), (0, 1)])
+    def test_rule_cap_and_support_floor_below_one_are_usage_errors(
+        self, capsys, min_support, max_rules
+    ):
+        code, out, err = run(
+            capsys, "oracle", "--data", FIXTURES / "two_mode.csv", "--target-column", "label",
+            "--min-support", min_support, "--max-rules", max_rules,
+        )
+        assert (code, out) == (1, "")
+        assert one_error_line(err) == "ConfigError"
+
+
+class TestNegativeSeed:
+    @pytest.mark.parametrize("command", ["extract", "explain", "oracle"])
+    def test_search_commands(self, capsys, command):
+        extra = ["--row-index", "0"] if command == "explain" else []
+        code, out, err = run(
+            capsys, command, "--data", FIXTURES / "two_mode.csv", "--target-column", "label",
+            "--min-support", "150", "--max-rules", "1", "--strategy", "kmeans",
+            "--seed", "-1", *extra,
+        )
+        assert (code, out) == (1, "")
+        assert one_error_line(err) == "ConfigError"
+
+    def test_select_features(self, capsys):
+        code, out, err = run(
+            capsys, "select-features", "--data", FIXTURES / "two_mode.csv",
+            "--weights", "1,1,1", "--seed", "-1",
+        )
+        assert (code, out) == (1, "")
+        assert one_error_line(err) == "ConfigError"
+
+    def test_synth_spec(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"n_rows": 10, "n_features": 1, "seed": -1}))
+        code, out, err = run(capsys, "synth", "--spec-file", spec, "--out", tmp_path / "d.csv")
+        assert (code, out) == (2, "")
+        assert one_error_line(err) == "SpecError"
+
+
+class TestConfigFile:
+    """Entries of a --config file are defaults of the subcommand's options."""
+
+    def extract(self, tmp_path, capsys, text, *flags):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            f"data = {FIXTURES / 'two_mode.csv'}\ntarget_column = label\n"
+            f"min-support = 150\nmax_rules = 1\n{text}"
+        )
+        code, out, err = run(capsys, "extract", "--config", cfg, *flags)
+        return code, (json.loads(out) if code == 0 else out), err
+
+    def test_flag_beats_file_beats_default(self, tmp_path, capsys):
+        n_grids = [
+            self.extract(tmp_path, capsys, text, *flags)[1]["config"]["n_grids"]
+            for text, flags in [("", ()), ("n-grids = 5\n", ()),
+                                ("n_grids = 5\n", ("--n-grids", "6"))]
+        ]
+        assert n_grids == [7, 5, 6]
+
+    def test_unparsable_value(self, tmp_path, capsys):
+        code, out, err = self.extract(tmp_path, capsys, "n-grids = ten\n")
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {
+            "error": "ConfigError", "message": "config key 'n_grids': cannot parse 'ten'",
+        }
+
+    def test_malformed_line(self, tmp_path, capsys):
+        code, out, err = self.extract(tmp_path, capsys, "# comment\n\nseed 3\n")
+        assert (code, out) == (1, "")
+        assert one_error_line(err) == "ConfigError"
+        assert json.loads(err)["message"].endswith(":7: expected 'key = value'")
+
+    def test_checked_in_config_fixture(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(FIXTURES.parent.parent)
+        out = tmp_path / "rules.json"
+        code, _, _ = run(capsys, "extract", "--config", FIXTURES / "extract.cfg", "--out", out)
+        assert code == 0
+        config = json.loads(out.read_text())["config"]
+        assert (config["min_support"], config["max_rules"], config["n_grids"]) == (150, 2, 10)
+
+    def test_keys_of_other_subcommands_are_ignored(self, tmp_path, capsys):
+        text = "row-index = first\nweights = heavy\nlabel_column = nope\nspec_file = 3\n"
+        code, payload, _ = self.extract(tmp_path, capsys, text)
+        assert code == 0
+        assert payload["config"]["max_rules"] == 1
 
 
 class TestUsage:

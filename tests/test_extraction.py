@@ -222,6 +222,10 @@ class TestExtractRuleSets:
         with pytest.raises(ConfigError):
             extract_rule_sets(table, target, [], cfg())
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed"):
+            cfg(strategy="kmeans", seed=-1)
+
     def test_emitted_stats_match_reevaluation(self, two_mode):
         table, target, _ = two_mode
         config = ExtractionConfig(min_support=150, max_rules=2, n_grids=10)
@@ -265,6 +269,41 @@ class TestExtractRuleSets:
                 assert rs.stats.support >= config.min_support
                 assert len({r.feature for r in rs.rules}) == len(rs.rules)
                 assert all(r > 1 for r in rs.stats.step_ratios)
+
+    def test_fitness_and_confidence_ties_list_fewer_rules_first(self):
+        # c=a & d=p selects the same four target rows as d=p alone, so the two
+        # sets tie on every count; the one-rule set must come first
+        groups = [("a", "p", "y", True, 4), ("a", "q", "y", False, 4),
+                  ("b", "q", "z", True, 4), ("b", "q", "y", False, 20)]
+        cells = [g for g in groups for _ in range(g[4])]
+        table = DataTable(tuple(
+            FeatureColumn(name, "categorical", np.array([c[i] for c in cells], dtype=object))
+            for i, name in enumerate("cde")
+        ))
+        target = TargetIndicator(flags=np.array([c[3] for c in cells]))
+        config = ExtractionConfig(min_support=4, max_rules=2, n_grids=4)
+        sets = extract_rule_sets(table, target, [0, 1, 2], config)
+        shown = [sorted(f"{table.column(r.feature).name}={r.predicate.token}" for r in rs.rules)
+                 for rs in sets]
+        assert shown == [["d=p"], ["e=z"], ["c=a", "d=p"], ["c=a"]]
+        counts = [(rs.stats.support, rs.stats.tp) for rs in sets]
+        assert counts[0] == counts[2] == (4, 4)
+
+    def test_select_best_is_the_first_set_clearing_the_floor(self):
+        rng = np.random.default_rng(2024)
+        checked = 0
+        for _ in range(40):
+            table, target = random_table(rng, max_rows=150)
+            config = random_config(rng, table)
+            sets = extract_rule_sets(table, target, range(len(table.columns)), config)
+            if not sets:
+                continue
+            for floor in (0.0, 0.5, config.min_confidence, 1.0):
+                expected = next((rs for rs in sets if rs.stats.confidence >= floor), sets[0])
+                assert select_best(sets, floor) is expected
+                assert select_best(sets[::-1], floor) is expected
+            checked += 1
+        assert checked >= 20
 
     def test_missing_values_keep_recurrence_exact(self):
         # rows missing a feature stay in the conditioned totals but can never

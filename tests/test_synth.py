@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from regionrules import PlantedMode, PlantedSpec, brute_force_best, gen_synthetic
-from regionrules.errors import EmptyResultError, SpecError, TooLargeError
+from regionrules.errors import ConfigError, EmptyResultError, SpecError, TooLargeError
 
 
 def one_mode_spec(**kw):
@@ -44,6 +44,10 @@ class TestGenSynthetic:
         for ca, cb in zip(a_table.columns, b_table.columns):
             assert np.array_equal(ca.values, cb.values)
         assert np.array_equal(a_target.flags, b_target.flags)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(SpecError, match="seed"):
+            one_mode_spec(seed=-1)
 
     def test_overlapping_rectangles_rejected(self):
         with pytest.raises(SpecError):
@@ -96,6 +100,12 @@ class TestBruteForceBest:
         table, target = grid_table
         with pytest.raises(EmptyResultError):
             brute_force_best(table, target, n_g=4, l_max=1, s_min=21)
+
+    @pytest.mark.parametrize("l_max, s_min", [(0, 5), (1, 0), (-1, -1)])
+    def test_rule_cap_and_support_floor_below_one_rejected(self, grid_table, l_max, s_min):
+        table, target = grid_table
+        with pytest.raises(ConfigError):
+            brute_force_best(table, target, n_g=4, l_max=l_max, s_min=s_min)
 
     def test_tractability_guard(self, grid_table):
         table, target = grid_table
