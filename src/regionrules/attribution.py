@@ -21,7 +21,7 @@ from .errors import (
     ParseError,
     ShapeError,
 )
-from .itemsets import FrequentItemset, fp_growth, pick_feature_set
+from .itemsets import FrequentItemset, mine_itemsets, pick_feature_set
 from .tabular import read_csv
 
 SCORER_KINDS = ("linear", "logistic")
@@ -254,7 +254,8 @@ def select_features(
     c_min: int = 1,
     k_max: int | None = None,
 ) -> tuple[float, list[FrequentItemset], frozenset[int]]:
-    """Threshold scan, per-row feature sets, FP-Growth and the itemset choice.
+    """Threshold scan, itemset mining on the hits ``scores >= j_th`` and the
+    itemset choice.
 
     Returns ``(j_th, itemsets, chosen)``: the itemsets have at most ``k_max``
     features (default: all) and occur in >= ``c_min`` rows; ``chosen`` is
@@ -266,7 +267,7 @@ def select_features(
     elif k_max < 1:
         raise ConfigError(f"k_max must be >= 1, got {k_max}")
     j_th = scan_threshold(matrix, gamma)
-    itemsets = fp_growth(to_feature_sequences(matrix, j_th), c_min, k_max)
+    itemsets = mine_itemsets(matrix.scores >= j_th, c_min, k_max)
     return j_th, itemsets, pick_feature_set(itemsets)
 
 

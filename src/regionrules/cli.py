@@ -97,8 +97,8 @@ _EMPTY_ERRORS = (EmptyResultError, NoFeatureError, EmptyMatrixError)
 
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse defaults to exit code 2; we use 1
-        self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
+    def error(self, message):  # a usage error is exit 1 with one JSON line
+        raise ConfigError(message)
 
     def set_config_defaults(self, path: str) -> None:
         """Make a config file's entries the defaults of this parser's options,
@@ -610,13 +610,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse handles -h/usage; normalize the code
-        return int(exc.code or 0)
-    try:
         if args.config:
             parser.commands[args.command].set_config_defaults(args.config)
             args = parser.parse_args(argv)  # flags override the file's entries
         return args.func(args)
+    except SystemExit as exc:  # -h and --version
+        return int(exc.code or 0)
     except ConfigError as exc:
         _fail(exc)
         return USAGE_EXIT

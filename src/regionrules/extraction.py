@@ -644,8 +644,10 @@ def extract_local(
 
 def select_best(rule_sets: Sequence[RuleSet], min_confidence: float) -> RuleSet:
     """The first set in :func:`extract_rule_sets` order whose confidence is
-    at least ``min_confidence``; the first set overall when none is."""
+    at least ``min_confidence``, read as the decimal it prints as (0.8 is
+    4/5); the first set overall when none is."""
     if not rule_sets:
         raise EmptyResultError("no rule sets to select from")
-    qualifying = [rs for rs in rule_sets if rs.stats.confidence >= min_confidence]
+    floor = Fraction(str(min_confidence))
+    qualifying = [rs for rs in rule_sets if rs.stats.confidence >= floor]
     return min(qualifying or rule_sets, key=_rank)

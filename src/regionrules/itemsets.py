@@ -1,10 +1,17 @@
-"""FP-Growth frequent itemset mining over feature-index transactions."""
+"""Frequent itemset mining by depth-first intersection of boolean item columns.
+
+An itemset's count is the number of rows holding every one of its items: the
+``count_nonzero`` of the AND of its columns (vertical mining, Eclat: Zaki,
+IEEE TKDE 2000). The walk extends a prefix only with later items, and only
+with those that keep the prefix frequent, so each itemset is counted once.
+"""
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
+
+import numpy as np
 
 from .errors import ConfigError, EmptyResultError
 
@@ -20,66 +27,42 @@ class FrequentItemset:
         return tuple(sorted(self.items))
 
 
-class _FPNode:
-    __slots__ = ("item", "count", "parent", "children")
+def _build_tree(columns, prefix: tuple, rows, items: list, c_min: int, k_max: int, out: list):
+    """Expand one node of the itemset search tree: ``prefix`` (held by the
+    ``rows`` mask, ``None`` at the root) joined with each of ``items``.
 
-    def __init__(self, item, parent):
-        self.item = item
-        self.count = 0
-        self.parent = parent
-        self.children: dict = {}
-
-
-def _build_tree(weighted: Sequence[tuple[frozenset, int]], c_min: int):
-    """Build an FP-tree; returns (header-table, per-item frequent counts)."""
-    counts: Counter = Counter()
-    for items, w in weighted:
-        for it in items:
-            counts[it] += w
-    freq = {it: c for it, c in counts.items() if c >= c_min}
-    # descending global frequency, ties by ascending item, for a compact tree
-    rank = {it: r for r, it in enumerate(sorted(freq, key=lambda it: (-freq[it], it)))}
-
-    root = _FPNode(None, None)
-    header: dict = defaultdict(list)
-    for items, w in weighted:
-        path = sorted((it for it in items if it in freq), key=rank.__getitem__)
-        node = root
-        for it in path:
-            child = node.children.get(it)
-            if child is None:
-                child = _FPNode(it, node)
-                node.children[it] = child
-                header[it].append(child)
-            child.count += w
-            node = child
-    return header, freq
-
-
-def _mine(
-    weighted: Sequence[tuple[frozenset, int]],
-    c_min: int,
-    k_max: int,
-    suffix: frozenset,
-    out: list[FrequentItemset],
-) -> None:
-    header, freq = _build_tree(weighted, c_min)
-    for item, count in freq.items():
-        itemset = suffix | {item}
-        out.append(FrequentItemset(items=itemset, count=count))
-        if len(itemset) >= k_max:
+    Items are tried from the last one back, so the frequent items after
+    each one are known when its subtree is expanded; a mask lives only
+    while its subtree is, which keeps at most ``k_max`` masks at once."""
+    later: list[int] = []  # frequent extensions, descending
+    for i in reversed(items):
+        joined = columns[i] if rows is None else rows & columns[i]
+        count = int(np.count_nonzero(joined))
+        if count < c_min:
             continue
-        base: list[tuple[frozenset, int]] = []
-        for node in header[item]:
-            path = []
-            cur = node.parent
-            while cur is not None and cur.item is not None:
-                path.append(cur.item)
-                cur = cur.parent
-            if path:
-                base.append((frozenset(path), node.count))
-        if base:
-            _mine(base, c_min, k_max, itemset, out)
+        itemset = prefix + (i,)
+        out.append((itemset, count))
+        if later and len(itemset) < k_max:
+            _build_tree(columns, itemset, joined, later[::-1], c_min, k_max, out)
+        later.append(i)
+
+
+def mine_itemsets(hits: np.ndarray, c_min: int, k_max: int) -> list[FrequentItemset]:
+    """All sets of at most ``k_max`` columns of the boolean rows x items
+    matrix ``hits`` that are all true in >= ``c_min`` rows, with exact counts.
+
+    Items are column indices. Output order is canonical: size ascending,
+    then count descending, then lexicographic item tuples.
+    """
+    if c_min < 1:
+        raise ConfigError(f"c_min must be >= 1, got {c_min}")
+    if k_max < 1:
+        raise ConfigError(f"k_max must be >= 1, got {k_max}")
+    columns = np.ascontiguousarray(np.asarray(hits, dtype=bool).T)
+    found: list[tuple[tuple[int, ...], int]] = []
+    _build_tree(columns, (), None, list(range(len(columns))), c_min, k_max, found)
+    found.sort(key=lambda s: (len(s[0]), -s[1], s[0]))
+    return [FrequentItemset(items=frozenset(items), count=count) for items, count in found]
 
 
 def fp_growth(
@@ -87,21 +70,19 @@ def fp_growth(
     c_min: int,
     k_max: int,
 ) -> list[FrequentItemset]:
-    """Mine all itemsets with support >= c_min and size <= k_max, with exact counts.
-
-    Output order is canonical: size ascending, then count descending, then
-    lexicographic item tuples.
-    """
-    if c_min < 1:
-        raise ConfigError(f"c_min must be >= 1, got {c_min}")
-    if k_max < 1:
-        raise ConfigError(f"k_max must be >= 1, got {k_max}")
-    weighted = [(frozenset(t), 1) for t in transactions]
-    out: list[FrequentItemset] = []
-    if weighted:
-        _mine(weighted, c_min, k_max, frozenset(), out)
-    out.sort(key=lambda s: (len(s.items), -s.count, s.sorted_items()))
-    return out
+    """:func:`mine_itemsets` over transactions of sortable items: each
+    distinct item becomes one column, in sorted order, so the canonical
+    order is the same on items as on columns."""
+    transactions = [set(t) for t in transactions]
+    items = sorted(set().union(*transactions))
+    column = {it: c for c, it in enumerate(items)}
+    hits = np.zeros((len(transactions), len(items)), dtype=bool)
+    for r, t in enumerate(transactions):
+        hits[r, [column[it] for it in t]] = True
+    return [
+        FrequentItemset(items=frozenset(items[c] for c in s.items), count=s.count)
+        for s in mine_itemsets(hits, c_min, k_max)
+    ]
 
 
 def pick_feature_set(itemsets: Sequence[FrequentItemset]) -> frozenset:

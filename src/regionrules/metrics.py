@@ -84,18 +84,24 @@ def evaluate(table: DataTable, target, rule_sets) -> EvaluationReport:
     )
 
 
-def format_rule(table: DataTable, rule: Rule, sig_digits: int = 6) -> str:
+def format_rule(
+    table: DataTable, rule: Rule, sig_digits: int = 6, ranges: dict | None = None
+) -> str:
     """Human-readable predicate; intervals reaching the feature's observed
-    min/max are rendered one-sided."""
+    min/max are rendered one-sided. ``ranges`` keeps each column's observed
+    (min, max) across calls, so a report scans a column once."""
     col = table.column(rule.feature)
     if isinstance(rule.predicate, CategoryEquals):
         return f"{col.name} == {rule.predicate.token!r}"
     lo, hi = rule.predicate.lo, rule.predicate.hi
     fmt = lambda v: f"{v:.{sig_digits}g}"
     if col.kind == NUMERIC:
-        vals = col.values[~np.isnan(col.values)]
-        if len(vals):
-            vmin, vmax = float(vals.min()), float(vals.max())
+        ranges = {} if ranges is None else ranges
+        if col.name not in ranges:
+            vals = col.values[~np.isnan(col.values)]
+            ranges[col.name] = (float(vals.min()), float(vals.max())) if len(vals) else None
+        if ranges[col.name] is not None:
+            vmin, vmax = ranges[col.name]
             if lo <= vmin and hi >= vmax:
                 return f"{col.name}: any value"
             if lo <= vmin:
@@ -109,8 +115,9 @@ def report_text(table: DataTable, report: EvaluationReport) -> str:
     """Aligned text table, one row per rule set."""
     header = ("rules", "support", "confidence", "fitness")
     rows = []
+    ranges: dict = {}  # each column's (min, max), scanned once per report
     for e in report.entries:
-        text = " AND ".join(format_rule(table, r) for r in e.rules) or "(all rows)"
+        text = " AND ".join(format_rule(table, r, ranges=ranges) for r in e.rules) or "(all rows)"
         rows.append((text, str(e.support), f"{e.confidence:.3f}", f"{e.fitness:.3f}"))
     widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
               for i, h in enumerate(header)]

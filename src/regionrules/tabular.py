@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import mmap
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain, islice, repeat
@@ -199,29 +200,35 @@ def read_csv(path, empty_message: str):
     ``rows`` is the range of their 0-based data rows, ``cells`` the strings of
     their ``js`` cells in row order (column ``js[k]`` is ``cells[k::len(js)]``).
     A row of the wrong width raises ParseError once the rows before it have
-    been yielded; so do undecodable bytes and malformed quoting."""
+    been yielded; so do undecodable bytes and malformed quoting. A regular
+    file is mapped, not read, so it must not shrink while it is read."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    if not data.isascii():
+        try:  # mapped, a file leaves no freed file-sized buffer on the heap
+            data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        except (OSError, ValueError):  # pipes and FIFOs, empty files
+            data = fh.read()
+    buf = np.frombuffer(data, np.uint8)
+    if len(buf) and buf.max() >= 128:
         try:
-            data.decode("utf-8")
+            str(data, "utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path} is not UTF-8: {exc.reason} at byte {exc.start}") from None
-    data = data.removeprefix(b"\xef\xbb\xbf")  # only now: offsets count the BOM
+    start = 3 if data[:3] == b"\xef\xbb\xbf" else 0  # only now: offsets count the BOM
+    buf = buf[start:]
     # newline positions, 64 KiB at a time: a file-sized mask raised peak memory
-    buf = np.frombuffer(data, np.uint8)
     ends = np.concatenate([np.empty(0, np.intp)] + [
         np.flatnonzero(buf[i : i + 65536] == ord("\n")) + i for i in range(0, len(buf), 65536)])
-    ends = ends if data.endswith(b"\n") else np.append(ends, len(data))  # a last line end
+    if not (len(buf) and buf[-1] == ord("\n")):
+        ends = np.append(ends, len(buf))  # a last line end
     lengths = np.diff(ends, prepend=-1) - 1
     # csv.reader splits a line on "," alone unless it is blank, longer than
     # the field size limit or holds a quote, CR or NUL; a line's length in
     # bytes is never below its length in characters
     if 0 < lengths.min() and lengths.max() <= csv.field_size_limit():
-        if not any(c in data for c in (b'"', b"\r", b"\0")):
-            header = data[: ends[0]].decode().split(",")
+        if all(data.find(c, start) < 0 for c in (b'"', b"\r", b"\0")):
+            header = buf[: ends[0]].tobytes().decode().split(",")
             return header, partial(_split_cells, buf, ends, len(header))
-    rows = _csv_rows(data.decode(), path)
+    rows = _csv_rows(buf.tobytes().decode(), path)
     if (header := next(rows, [None])[0]) is None:
         raise ParseError(empty_message)
     return header, partial(_csv_cells, rows, len(header))
@@ -397,6 +404,8 @@ def roc_threshold(
     suffix_pos = np.concatenate((np.cumsum(sorted_labels[::-1])[::-1], [0]))
     suffix_neg = np.concatenate((np.cumsum((~sorted_labels)[::-1])[::-1], [0]))
     first = np.searchsorted(probs[order], distinct, side="left")
-    j_scores = suffix_pos[first] / n_pos - suffix_neg[first] / n_neg
-    best = int(np.argmax(j_scores))  # argmax returns the first (smallest) maximizer
+    # TPR - FPR scaled by n_pos * n_neg, in integers: float ratios can round
+    # exact ties apart; argmax returns the first (smallest) maximizer
+    j_scores = suffix_pos[first] * n_neg - suffix_neg[first] * n_pos
+    best = int(np.argmax(j_scores))
     return float(candidates[best])

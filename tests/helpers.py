@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import Counter, defaultdict
 from fractions import Fraction
 
 import numpy as np
 
-from regionrules import DataTable, FeatureColumn, TargetIndicator
+from regionrules import DataTable, FeatureColumn, FrequentItemset, TargetIndicator
 from regionrules.attribution import DEFAULT_COVERAGE, ImportanceMatrix, _required_rows
 from regionrules.errors import EmptyMatrixError, NoFeatureError, ParseError, SchemaError
 from regionrules.extraction import ExtractionConfig
@@ -61,6 +62,74 @@ def brute_force_itemsets(transactions, c_min: int, k_max: int) -> dict:
         c = int(counts[mask])
         if c >= c_min:
             out[frozenset(items[b] for b in range(n) if mask & (1 << b))] = c
+    return out
+
+
+class _FPNode:
+    __slots__ = ("item", "count", "parent", "children")
+
+    def __init__(self, item, parent):
+        self.item = item
+        self.count = 0
+        self.parent = parent
+        self.children: dict = {}
+
+
+def _ref_fp_tree(weighted, c_min: int):
+    """Build an FP-tree; returns (header-table, per-item frequent counts)."""
+    counts: Counter = Counter()
+    for items, w in weighted:
+        for it in items:
+            counts[it] += w
+    freq = {it: c for it, c in counts.items() if c >= c_min}
+    # descending global frequency, ties by ascending item, for a compact tree
+    rank = {it: r for r, it in enumerate(sorted(freq, key=lambda it: (-freq[it], it)))}
+
+    root = _FPNode(None, None)
+    header: dict = defaultdict(list)
+    for items, w in weighted:
+        path = sorted((it for it in items if it in freq), key=rank.__getitem__)
+        node = root
+        for it in path:
+            child = node.children.get(it)
+            if child is None:
+                child = _FPNode(it, node)
+                node.children[it] = child
+                header[it].append(child)
+            child.count += w
+            node = child
+    return header, freq
+
+
+def _ref_fp_mine(weighted, c_min: int, k_max: int, suffix: frozenset, out: list) -> None:
+    header, freq = _ref_fp_tree(weighted, c_min)
+    for item, count in freq.items():
+        itemset = suffix | {item}
+        out.append(FrequentItemset(items=itemset, count=count))
+        if len(itemset) >= k_max:
+            continue
+        base = []
+        for node in header[item]:
+            path = []
+            cur = node.parent
+            while cur is not None and cur.item is not None:
+                path.append(cur.item)
+                cur = cur.parent
+            if path:
+                base.append((frozenset(path), node.count))
+        if base:
+            _ref_fp_mine(base, c_min, k_max, itemset, out)
+
+
+def ref_fp_growth(transactions, c_min: int, k_max: int) -> list[FrequentItemset]:
+    """FP-Growth (Han, Pei & Yin, SIGMOD 2000) over a tree of Python nodes,
+    the miner ``itemsets`` used before it mined boolean columns; same
+    canonical output order."""
+    weighted = [(frozenset(t), 1) for t in transactions]
+    out: list[FrequentItemset] = []
+    if weighted:
+        _ref_fp_mine(weighted, c_min, k_max, frozenset(), out)
+    out.sort(key=lambda s: (len(s.items), -s.count, s.sorted_items()))
     return out
 
 

@@ -664,9 +664,32 @@ class TestConfigFile:
 class TestUsage:
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 1
+        assert one_error_line(capsys.readouterr().err) == "ConfigError"
 
     def test_version(self, capsys):
         assert main(["--version"]) == 0
+
+    def test_help_exits_zero_with_usage_on_stdout(self, capsys):
+        assert main(["extract", "-h"]) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage:") and err == ""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["extract", "--row-index", "0"], "unrecognized arguments: --row-index 0"),
+            (["extract", "--n-grids", "ten"], "argument --n-grids: invalid int value: 'ten'"),
+            (["extract", "--strategy", "median"], "argument --strategy: invalid choice"),
+            (["evaluate", "--rules"], "argument --rules: expected one argument"),
+            ([], "the following arguments are required: command"),
+        ],
+    )
+    def test_argument_errors_are_one_json_line(self, argv, message, capsys):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert one_error_line(err) == "ConfigError"
+        assert json.loads(err)["message"].startswith(message)
 
 
 class TestUnreadableCsv:

@@ -480,6 +480,13 @@ class TestSelectBest:
         b = stats(100, 90, 1000, n_rules=2)
         assert select_best([b, a], 0.5) is a
 
+    def test_a_confidence_equal_to_the_floor_reaches_it(self):
+        # confidence 4/5 reaches 0.8, though the double 0.8 lies just above 4/5
+        exact = stats(5, 4, 10)  # fitness 3/10
+        pure = stats(2, 2, 10)  # confidence 1, fitness 2/10
+        assert select_best([exact, pure], 0.8) is exact
+        assert select_best([exact, pure], 0.81) is pure
+
     def test_empty_input(self):
         with pytest.raises(EmptyResultError):
             select_best([], 0.8)

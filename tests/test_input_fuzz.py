@@ -1,8 +1,10 @@
-"""Fuzzing of the command-line input files.
+"""Fuzzing of the command-line input files and of argv.
 
 Whatever a ``--config`` file or a spec, sample, rules or features JSON file
-holds, a command ends with a documented exit code (0-4), and a failure
-writes exactly one JSON line, ``{"error": ..., "message": ...}``, on stderr.
+holds, and however a working command line is cut up (flags dropped,
+duplicated or misspelled, bad values on typed options, stray tokens), a
+command ends with a documented exit code (0-4), and a failure writes
+exactly one JSON line, ``{"error": ..., "message": ...}``, on stderr.
 The data CSVs stay fixed and small; every output goes to a temporary
 directory through flags, which override any ``out`` entry of the config.
 Sizes that allocate memory in proportion to their value (``n_rows`` of a
@@ -186,3 +188,79 @@ def test_any_input_file_ends_in_a_documented_exit(workdir, capsys, command, conf
         lines = err.splitlines()
         assert len(lines) == 1, err
         assert set(json.loads(lines[0])) == {"error", "message"}
+
+
+# working command lines, amended below; search knobs keep each run small
+GOOD_FILES = {
+    "features.json": {"features": ["f0", "g"]},
+    "sample.json": {"f0": 0.7, "f1": 0.5, "g": "a", "p": 0.8},
+    "rules.json": [{"rules": [{"feature": "f0", "op": "in_interval", "lo": 0.6, "hi": 1.0}]}],
+    "spec.json": {"n_rows": 200, "n_features": 2, "modes": [
+        {"bounds": [[0.2, 0.4], [0.2, 0.4]], "purity": 1.0, "weight": 0.3}]},
+}
+SEARCH = ["--min-support", "5", "--max-rules", "2", "--n-grids", "4"]
+EXTRA = {"extract": SEARCH, "explain": SEARCH, "oracle": SEARCH,
+         "select-features": ["--weights", "1,1"]}
+# options whose values argparse or the command converts; none of them sizes
+# an allocation by its value
+TYPED = ["--min-support", "--max-rules", "--n-grids", "--max-branches", "--min-confidence",
+         "--threshold", "--seed", "--row-index", "--strategy", "--coverage", "--min-count",
+         "--max-size", "--bias", "--scorer-kind", "--shift-eps"]
+BAD_VALUES = ["ten", "", "1.5", "-1", "0", "nan", "inf", "1e999", "0x10",
+              "99999999999999999999", "--", "-", "linear", "f0"]
+STRAY = ["x", "--", "-", "--bogus", "--features", "f0", "1", "--seed"]
+
+
+def _misspell(flag: str, k: int) -> str:
+    return [flag[:-1], flag + "s", flag.replace("-", "_"), flag.upper(), flag[1:],
+            flag[:3] + flag[4:]][k]
+
+
+@st.composite
+def argv_edits(draw, base):
+    argv = list(base)
+    for _ in range(draw(st.integers(1, 3))):
+        flags = [i for i, a in enumerate(argv) if a.startswith("--") and len(a) > 2]
+        kind = draw(st.sampled_from(["drop", "duplicate", "misspell", "bad value", "stray"]))
+        if kind == "bad value":
+            argv += [draw(st.sampled_from(TYPED)), draw(st.sampled_from(BAD_VALUES))]
+        elif kind == "stray":
+            argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(STRAY)))
+        elif flags:
+            i = draw(st.sampled_from(flags))
+            pair = argv[i : i + 2] if i + 1 < len(argv) and not argv[i + 1].startswith("--") \
+                else argv[i : i + 1]
+            if kind == "drop":
+                del argv[i : i + len(pair)]
+            elif kind == "duplicate":
+                argv += pair
+            else:
+                argv[i] = _misspell(argv[i], draw(st.integers(0, 5)))
+    return argv
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(command=st.sampled_from(sorted(EXTRA.keys() | {"evaluate", "threshold", "synth"})),
+       data=st.data())
+def test_any_argv_ends_in_a_documented_exit(workdir, capsys, monkeypatch, command, data):
+    monkeypatch.chdir(workdir)  # a stray output path lands in the temporary directory
+    for name, payload in GOOD_FILES.items():
+        (workdir / name).write_text(json.dumps(payload), encoding="utf-8")
+    base = [command, *map(str, _argv(workdir, command)), *EXTRA.get(command, [])]
+    argv = data.draw(argv_edits(base))
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code in {0, 1, 2, 3, 4}
+    if code:
+        lines = err.splitlines()
+        assert len(lines) == 1, err
+        assert set(json.loads(lines[0])) == {"error", "message"}
+
+
+@pytest.mark.parametrize("command", sorted(EXTRA.keys() | {"evaluate", "threshold", "synth"}))
+def test_the_unedited_command_lines_work(workdir, capsys, command):
+    for name, payload in GOOD_FILES.items():
+        (workdir / name).write_text(json.dumps(payload), encoding="utf-8")
+    argv = [command, *map(str, _argv(workdir, command)), *EXTRA.get(command, [])]
+    assert main(argv) == 0, capsys.readouterr().err

@@ -4,8 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from regionrules import FrequentItemset, fp_growth, pick_feature_set
 from regionrules.errors import ConfigError, EmptyResultError
+from regionrules.itemsets import mine_itemsets
 
-from helpers import brute_force_itemsets
+from helpers import brute_force_itemsets, ref_fp_growth
 
 
 def as_dict(itemsets):
@@ -80,6 +81,51 @@ class TestFpGrowth:
                 if smaller:
                     assert smaller in returned
                     assert counts[smaller] >= counts[s]
+
+
+class TestColumnMiner:
+    """The column miner returns what the FP-tree returned, in the same order."""
+
+    def test_equals_the_fp_tree_on_random_matrices(self):
+        rng = np.random.default_rng(29)
+        for _ in range(300):
+            n_rows, n_items = int(rng.integers(0, 60)), int(rng.integers(0, 9))
+            hits = rng.random((n_rows, n_items)) < rng.uniform(0.1, 0.9)
+            c_min = int(rng.integers(1, n_rows + 3))  # above the row count too
+            k_max = int(rng.integers(1, n_items + 2))
+            rows = [frozenset(np.flatnonzero(row).tolist()) for row in hits]
+            assert mine_itemsets(hits, c_min, k_max) == ref_fp_growth(rows, c_min, k_max)
+
+    def test_equals_the_fp_tree_on_random_string_transactions(self):
+        rng = np.random.default_rng(31)
+        names = ["b", "a", "x1", "x10", "x2", "ab", "Z", ""]
+        for _ in range(300):
+            n_items = int(rng.integers(1, len(names) + 1))
+            p = rng.uniform(0.1, 0.9)
+            tx = [
+                {names[i] for i in range(n_items) if rng.random() < p}  # may be empty
+                for _ in range(int(rng.integers(0, 50)))
+            ]
+            c_min = int(rng.integers(1, len(tx) + 3))
+            k_max = int(rng.integers(1, n_items + 2))
+            assert fp_growth(tx, c_min, k_max) == ref_fp_growth(tx, c_min, k_max)
+
+    def test_k_max_one_gives_the_frequent_items(self):
+        hits = np.array([[1, 1, 0], [1, 0, 0], [1, 1, 1]], dtype=bool)
+        assert mine_itemsets(hits, 2, 1) == [
+            FrequentItemset(frozenset({0}), 3),
+            FrequentItemset(frozenset({1}), 2),
+        ]
+
+    def test_c_min_above_the_row_count_finds_nothing(self):
+        assert mine_itemsets(np.ones((4, 3), dtype=bool), 5, 3) == []
+        assert fp_growth([{"a"}, set(), {"a", "b"}], 4, 2) == []
+
+    def test_invalid_parameters(self):
+        with pytest.raises(ConfigError):
+            mine_itemsets(np.ones((2, 2), dtype=bool), 0, 2)
+        with pytest.raises(ConfigError):
+            mine_itemsets(np.ones((2, 2), dtype=bool), 1, 0)
 
 
 class TestPickFeatureSet:

@@ -155,6 +155,22 @@ class TestReport:
         assert format_rule(table, Rule(0, Interval(1.0, 3.0))) == "1 <= x <= 3"
         assert format_rule(table, Rule(0, Interval(0.0, 4.0))) == "x: any value"
 
+    def test_ranges_are_kept_across_calls(self, grid_table):
+        table, _ = grid_table
+        ranges = {}
+        assert format_rule(table, Rule(0, Interval(1.0, 3.0)), ranges=ranges) == "1 <= x <= 3"
+        assert ranges == {"x": (0.0, 4.0)}
+        ranges["x"] = (1.0, 3.0)  # a kept range is used, not recomputed
+        assert format_rule(table, Rule(0, Interval(1.0, 3.0)), ranges=ranges) == "x: any value"
+
+    def test_report_renders_each_rule_as_format_rule_does(self, grid_table):
+        table, target = grid_table
+        sets = [RULE_12, (Rule(0, Interval(1.0, 4.0)),), (Rule(0, Interval(0.0, 3.0)),), ()]
+        lines = report_text(table, evaluate(table, target, sets)).splitlines()
+        for line, rules in zip(lines[2:], sets):
+            text = " AND ".join(format_rule(table, r) for r in rules) or "(all rows)"
+            assert line.startswith(text + " ")
+
     def test_rendering_uses_six_significant_digits(self, grid_table):
         table, _ = grid_table
         rule = Rule(0, Interval(1.2345678901, 2.9876543210))

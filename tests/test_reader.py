@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import csv
 import io
+import os
+import threading
 from collections import defaultdict
 from types import SimpleNamespace
 from unittest import mock
@@ -304,6 +306,68 @@ def test_plain_text_does_not_go_through_csv_reader(tmp_path, monkeypatch):
     want = ref_load_csv(path, {"c0": "numeric", "c1": "numeric"})
     monkeypatch.setattr(tabular.csv, "reader", refuse)
     assert_same_table(load_csv(path, {"c0": "numeric", "c1": "numeric"}), want)
+
+
+PIPED = {
+    "plain": "a,b\n1,x\n2.5,y\n",
+    "quoted": 'a,b\n1,"x,y"\r\n2.5,z\r\n',
+    "bom_non_ascii": "\ufeffa,b\n١٢٣,été\n",
+    "bad_cell": "a,b\n1,x\nabc,y\n",
+    "empty": "",
+}
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("name", sorted(PIPED))
+def test_piped_data_reads_like_the_file(name, tmp_path):
+    """A pipe cannot be mapped; its bytes are read and give the file's result."""
+    path = write(tmp_path, PIPED[name])
+    fifo = tmp_path / "pipe.csv"
+    os.mkfifo(fifo)
+    schema = {"a": "numeric", "b": "categorical"}
+    for load, args in ((load_csv, (schema,)), (load_importance_matrix, ())):
+        want, want_err = outcome(load, path, *args)
+        writer = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),),
+                                  daemon=True)
+        writer.start()
+        got, got_err = outcome(load, fifo, *args)
+        writer.join(10)
+        if want_err is not None:
+            assert_same_error(got_err, want_err)
+        elif load is load_csv:
+            assert_same_table(got, want)
+        else:
+            assert got.scores.tobytes() == want.scores.tobytes()
+
+
+@pytest.mark.parametrize("text", ["", "\ufeff"])
+def test_empty_file_is_a_parse_error(text, tmp_path):
+    """An empty file cannot be mapped; one holding only a BOM can."""
+    path = write(tmp_path, text)
+    with pytest.raises(ParseError, match="file is empty"):
+        load_csv(path, {})
+    with pytest.raises(ParseError, match="importance matrix file is empty"):
+        load_importance_matrix(path)
+
+
+@pytest.mark.parametrize("name", ["plain", "quoted", "bom_non_ascii", "bad_cell"])
+def test_a_failed_mapping_falls_back_to_reading(name, tmp_path, monkeypatch):
+    path = write(tmp_path, PIPED[name])
+    schema = {"a": "numeric", "b": "categorical"}
+    want, want_err = outcome(load_csv, path, schema)
+    mapped = []
+
+    def unmappable(*args, **kwargs):
+        mapped.append(args)
+        raise OSError("no mapping")
+
+    monkeypatch.setattr(tabular.mmap, "mmap", unmappable)
+    got, got_err = outcome(load_csv, path, schema)
+    assert mapped
+    if want_err is not None:
+        assert_same_error(got_err, want_err)
+    else:
+        assert_same_table(got, want)
 
 
 @pytest.mark.parametrize("load", ["table", "matrix"])

@@ -23,7 +23,7 @@ from regionrules import (
 from regionrules.attribution import select_features
 from regionrules.errors import ConfigError, RegionRulesError
 
-from helpers import ref_scan_threshold
+from helpers import ref_fp_growth, ref_scan_threshold
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -71,6 +71,32 @@ def test_pipeline_equals_the_chained_steps():
     chosen = pick_feature_set(itemsets)
     assert select_features(matrix, c_min=c_min) == (j_th, itemsets, chosen)
     assert select_frequent_features(matrix, c_min=c_min) == chosen
+
+
+def test_mining_the_hits_equals_the_fp_tree_over_row_sequences():
+    rng = np.random.default_rng(41)
+    compared = 0
+    for _ in range(500):
+        matrix = random_matrix(rng)
+        gamma = float(rng.uniform(0.1, 1.0))
+        c_min = int(rng.integers(1, matrix.n_rows + 2))
+        k_max = int(rng.integers(1, matrix.n_features + 1))
+        try:
+            j_th = scan_threshold(matrix, gamma)
+        except RegionRulesError as exc:
+            with pytest.raises(type(exc)):
+                select_features(matrix, gamma, c_min, k_max)
+            continue
+        itemsets = ref_fp_growth(to_feature_sequences(matrix, j_th), c_min, k_max)
+        try:
+            want = (j_th, itemsets, pick_feature_set(itemsets))
+        except RegionRulesError as exc:
+            with pytest.raises(type(exc)):
+                select_features(matrix, gamma, c_min, k_max)
+            continue
+        assert select_features(matrix, gamma, c_min, k_max) == want
+        compared += 1
+    assert compared > 200
 
 
 def test_c_min_is_checked_before_the_scan():

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -155,6 +157,27 @@ class TestRocThreshold:
             t = roc_threshold(probs, labels)
             preds = probs > t
             assert (preds == labels).all()  # TPR - FPR == 1
+
+    def test_exact_ties_pick_the_smallest_maximizer(self):
+        # TPR - FPR is 1/6 at 0.3 and 0.5 and 0.9; in floats, 1/3 - 1/6 < 2/3 - 1/2
+        probs = [0, 0.8, 0.2, 1, 1, 0, 0.4, 0, 0.6]
+        labels = [0, 0, 0, 1, 0, 1, 1, 0, 0]
+        assert roc_threshold(probs, labels) == (0.2 + 0.4) / 2
+
+    def test_matches_an_exact_candidate_scan(self):
+        rng = np.random.default_rng(5)
+        for _ in range(3000):
+            n = int(rng.integers(2, 12))
+            probs = rng.integers(0, 6, n) / 5  # steps of 0.2: many exact ties
+            labels = rng.random(n) < 0.5
+            if labels.all() or not labels.any():
+                continue
+            distinct = np.unique(probs)
+            cands = [distinct[0] - 1.0] + [(a + b) / 2 for a, b in zip(distinct, distinct[1:])]
+            j = [Fraction(int((probs > c)[labels].sum()), int(labels.sum()))
+                 - Fraction(int((probs > c)[~labels].sum()), int((~labels).sum()))
+                 for c in cands]
+            assert roc_threshold(probs, labels) == cands[j.index(max(j))]
 
     def test_matches_exhaustive_candidate_scan(self):
         rng = np.random.default_rng(11)
