@@ -200,10 +200,10 @@ def load_importance_matrix(path) -> ImportanceMatrix:
 
 
 def _required_rows(gamma: float, n_rows: int) -> int:
-    """ceil(gamma * n_rows) computed exactly on the binary float value."""
+    """ceil(gamma * n_rows), with ``gamma`` read as the decimal it prints as."""
     if not 0.0 < gamma <= 1.0:
         raise ConfigError(f"gamma must be in (0, 1], got {gamma}")
-    return math.ceil(Fraction(gamma) * n_rows)
+    return math.ceil(Fraction(str(gamma)) * n_rows)
 
 
 def scan_threshold(matrix: ImportanceMatrix, gamma: float = DEFAULT_COVERAGE) -> float:

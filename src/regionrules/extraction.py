@@ -558,14 +558,8 @@ def _ranked(root: RuleTreeNode) -> list[RuleSet]:
     return sorted(_dedupe(_collect_rule_sets(root)), key=_rank)
 
 
-def build_rule_tree(
-    table: DataTable,
-    target,
-    feature_set: Iterable[int],
-    config: ExtractionConfig,
-    samples: Mapping[int, object] | None = None,
-) -> RuleTreeNode:
-    """Run the K-branch search and return the root of the explored tree."""
+def _search_inputs(table: DataTable, target, feature_set: Iterable[int], min_support: int):
+    """A search's (target flags, feature set, target row count), input-checked."""
     flags = target_flags(target)
     if len(flags) != table.n_rows:
         raise SchemaError("target indicator length does not match the table")
@@ -574,13 +568,27 @@ def build_rule_tree(
         raise ConfigError("feature set must not be empty")
     for f in features:
         table.column(f)  # raises SchemaError on unknown features
-    if config.min_support > table.n_rows:
+    if min_support > table.n_rows:
         raise InfeasibleConfigError(
-            f"min_support {config.min_support} exceeds table rows {table.n_rows}"
+            f"min_support {min_support} exceeds table rows {table.n_rows}"
         )
     target_count = int(flags.sum())
     if target_count == 0:
         raise NoTargetError(RuleStats.NO_TARGET)
+    return flags, features, target_count
+
+
+def build_rule_tree(
+    table: DataTable,
+    target,
+    feature_set: Iterable[int],
+    config: ExtractionConfig,
+    samples: Mapping[int, object] | None = None,
+) -> RuleTreeNode:
+    """Run the K-branch search and return the root of the explored tree."""
+    flags, features, target_count = _search_inputs(
+        table, target, feature_set, config.min_support
+    )
     if samples is not None:
         missing = [f for f in features if f not in samples or _is_missing_value(samples[f])]
         if missing:

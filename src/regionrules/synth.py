@@ -1,8 +1,10 @@
 """Synthetic multi-mode datasets and an exhaustive small-instance oracle.
 
 The generator plants axis-aligned rectangles of high target purity on a low
-background rate; the oracle enumerates every grid-aligned conjunction up to
-a tractability guard and is used to cross-check the greedy search.
+background rate. The oracle enumerates every grid-aligned conjunction up to
+a tractability guard and cross-checks the greedy search: it shares the
+search's input checks, rule masks, counts and ranking, so only the
+enumeration is its own.
 Randomness comes from ``numpy.random.default_rng`` (PCG64) under a fixed
 seed; tests that must survive generator changes load stored CSV fixtures
 instead of regenerating.
@@ -16,9 +18,11 @@ from itertools import combinations, product
 import numpy as np
 
 from .binning import make_grids
-from .errors import ConfigError, EmptyResultError, SpecError, TooLargeError
+from .errors import ConfigError, DegenerateFeatureError, EmptyResultError, SpecError
+from .errors import TooLargeError
 from .extraction import CategoryEquals, Interval, Rule, RuleSet, RuleStats
-from .tabular import NUMERIC, DataTable, FeatureColumn, TargetIndicator, target_flags
+from .extraction import _rank, _search_inputs, rule_mask
+from .tabular import NUMERIC, DataTable, FeatureColumn, TargetIndicator
 
 
 @dataclass(frozen=True)
@@ -143,6 +147,18 @@ def gen_synthetic(
     return table, target, summaries
 
 
+def _options(col: FeatureColumn, f: int, n_g: int, strategy: str, seed: int) -> list[Rule]:
+    """Every rule on feature ``f``: each interval between two of its grid
+    edges, or each category; none for a feature too constant to bin."""
+    if col.kind != NUMERIC:
+        return [Rule(f, CategoryEquals(tok)) for tok in col.vocabulary]
+    try:
+        edges = make_grids(col.values, n_g, strategy, seed).tolist()
+    except DegenerateFeatureError:
+        return []  # the search skips such a feature too
+    return [Rule(f, Interval(lo, hi)) for lo, hi in combinations(edges, 2)]
+
+
 def brute_force_best(
     table: DataTable,
     target,
@@ -152,69 +168,40 @@ def brute_force_best(
     strategy: str = "uniform",
     seed: int = 0,
 ) -> RuleSet:
-    """Exhaustive max-fitness grid-aligned conjunction with support >= s_min.
+    """The best grid-aligned conjunction with support >= s_min, exhaustively.
 
-    Enumerates every contiguous grid interval per numeric feature (grids are
-    built once per feature, unconditionally) and every category of
-    categorical features, over all feature subsets of size <= l_max. Guarded
-    to <= 3 features, n_g <= 8, l_max <= 2.
+    Tries every feature subset of size <= l_max, with every contiguous grid
+    interval of a numeric feature (grids built once per feature, over all of
+    its values) and every category of a categorical one. Inputs are checked
+    as :func:`~regionrules.extraction.build_rule_tree` checks them, and the
+    answer is the first conjunction in the search's ranking (fitness, then
+    confidence, then fewer rules, then support). Guarded to <= 3 features,
+    n_g <= 8, l_max <= 2.
     """
     if l_max < 1 or s_min < 1:
         raise ConfigError(f"l_max and s_min must be >= 1, got {l_max} and {s_min}")
-    flags = target_flags(target)
     n_features = len(table.columns)
     if n_features > 3 or n_g > 8 or l_max > 2:
         raise TooLargeError(
             f"guard exceeded: features={n_features} (<=3), n_g={n_g} (<=8), "
             f"l_max={l_max} (<=2)"
         )
-    target_count = int(flags.sum())
-    if target_count == 0:
-        raise EmptyResultError("target subgroup is empty")
+    flags, _, target_count = _search_inputs(table, target, range(n_features), s_min)
+    options = [
+        [(rule, rule_mask(table, rule)) for rule in _options(col, f, n_g, strategy, seed)]
+        for f, col in enumerate(table.columns)
+    ]
 
-    per_feature: list[list[tuple[Rule, np.ndarray]]] = []
-    for f, col in enumerate(table.columns):
-        options: list[tuple[Rule, np.ndarray]] = []
-        if col.kind == NUMERIC:
-            vals = col.values
-            present = ~np.isnan(vals)
-            edges = make_grids(vals[present], n_g, strategy, seed)
-            g = len(edges) - 1
-            for a in range(g):
-                for b in range(a, g):
-                    rule = Rule(f, Interval(float(edges[a]), float(edges[b + 1])))
-                    mask = present & (vals >= edges[a]) & (vals <= edges[b + 1])
-                    options.append((rule, mask))
-        else:
-            for tok in col.vocabulary:
-                options.append((Rule(f, CategoryEquals(tok)), col.equals_mask(tok)))
-        per_feature.append(options)
-
-    best: tuple | None = None
+    sets = []
     for size in range(1, l_max + 1):
-        for subset in combinations(range(n_features), size):
-            for combo in product(*(per_feature[f] for f in subset)):
-                mask = combo[0][1].copy()
-                for _, m in combo[1:]:
-                    mask &= m
-                n = int(mask.sum())
-                if n < s_min:
-                    continue
-                tp = int((mask & flags).sum())
-                rules = tuple(r for r, _ in combo)
-                key = (
-                    -(2 * tp - n),  # max fitness numerator; target_count is constant
-                    -n,
-                    len(rules),
-                    tuple(sorted(r.sort_key() for r in rules)),
-                )
-                if best is None or key < best[0]:
-                    best = (key, rules, n, tp)
-
-    if best is None:
+        for subset in combinations(options, size):
+            for combo in product(*subset):
+                mask = np.logical_and.reduce([m for _, m in combo])
+                n = int(np.count_nonzero(mask))
+                if n >= s_min:
+                    tp = int(np.count_nonzero(mask & flags))
+                    stats = RuleStats(n, tp, target_count, table.n_rows)
+                    sets.append(RuleSet(tuple(r for r, _ in combo), stats))
+    if not sets:
         raise EmptyResultError(f"no conjunction reaches support {s_min}")
-    _, rules, n, tp = best
-    stats = RuleStats(
-        support=n, tp=tp, target_count=target_count, table_rows=table.n_rows
-    )
-    return RuleSet(rules=rules, stats=stats)
+    return min(sets, key=_rank)

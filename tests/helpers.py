@@ -6,14 +6,21 @@ import csv
 import math
 from collections import Counter, defaultdict
 from fractions import Fraction
+from itertools import combinations, product
 
 import numpy as np
 
 from regionrules import DataTable, FeatureColumn, FrequentItemset, TargetIndicator
 from regionrules.attribution import DEFAULT_COVERAGE, ImportanceMatrix, _required_rows
-from regionrules.errors import EmptyMatrixError, NoFeatureError, ParseError, SchemaError
+from regionrules.errors import (
+    EmptyMatrixError,
+    EmptyResultError,
+    NoFeatureError,
+    ParseError,
+    SchemaError,
+)
 from regionrules.extraction import ExtractionConfig
-from regionrules.tabular import KINDS, NUMERIC
+from regionrules.tabular import KINDS, NUMERIC, target_flags
 
 
 def numeric_table(values, name: str = "x") -> DataTable:
@@ -131,6 +138,57 @@ def ref_fp_growth(transactions, c_min: int, k_max: int) -> list[FrequentItemset]
         _ref_fp_mine(weighted, c_min, k_max, frozenset(), out)
     out.sort(key=lambda s: (len(s.items), -s.count, s.sorted_items()))
     return out
+
+
+def ref_brute_force_best(table, target, n_g, l_max, s_min, strategy="uniform", seed=0):
+    """The exhaustive oracle as it was before it shared the search's parts:
+    full-table interval masks of its own, and a rank key of fitness, then
+    larger support, then fewer rules. The option checks and the size guard
+    are left out."""
+    from regionrules import make_grids
+    from regionrules.extraction import CategoryEquals, Interval, Rule, RuleSet, RuleStats
+
+    flags = target_flags(target)
+    target_count = int(flags.sum())
+    if target_count == 0:
+        raise EmptyResultError("target subgroup is empty")
+    per_feature = []
+    for f, col in enumerate(table.columns):
+        options = []
+        if col.kind == NUMERIC:
+            vals = col.values
+            present = ~np.isnan(vals)
+            edges = make_grids(vals[present], n_g, strategy, seed)
+            g = len(edges) - 1
+            for a in range(g):
+                for b in range(a, g):
+                    rule = Rule(f, Interval(float(edges[a]), float(edges[b + 1])))
+                    mask = present & (vals >= edges[a]) & (vals <= edges[b + 1])
+                    options.append((rule, mask))
+        else:
+            for tok in col.vocabulary:
+                options.append((Rule(f, CategoryEquals(tok)), col.equals_mask(tok)))
+        per_feature.append(options)
+
+    best = None
+    for size in range(1, l_max + 1):
+        for subset in combinations(range(len(table.columns)), size):
+            for combo in product(*(per_feature[f] for f in subset)):
+                mask = combo[0][1].copy()
+                for _, m in combo[1:]:
+                    mask &= m
+                n = int(mask.sum())
+                if n < s_min:
+                    continue
+                tp = int((mask & flags).sum())
+                rules = tuple(r for r, _ in combo)
+                key = (-(2 * tp - n), -n, len(rules), tuple(sorted(r.sort_key() for r in rules)))
+                if best is None or key < best[0]:
+                    best = (key, rules, n, tp)
+    if best is None:
+        raise EmptyResultError(f"no conjunction reaches support {s_min}")
+    _, rules, n, tp = best
+    return RuleSet(rules=rules, stats=RuleStats(n, tp, target_count, table.n_rows))
 
 
 def per_row_equals(col, token) -> np.ndarray:
@@ -258,10 +316,9 @@ def ref_scan_threshold(matrix: ImportanceMatrix, gamma: float = DEFAULT_COVERAGE
 
 
 def qual_count(scores: np.ndarray, threshold: float, gamma: float) -> int:
-    """Brute-force count of features meeting the coverage requirement."""
-    import math
-
-    required = math.ceil(Fraction(gamma) * scores.shape[0])
+    """Brute-force count of features meeting the coverage requirement, with
+    ``gamma`` read as the decimal it prints as."""
+    required = math.ceil(Fraction(str(gamma)) * scores.shape[0])
     return int(((scores >= threshold).sum(axis=0) >= required).sum())
 
 

@@ -145,6 +145,14 @@ class TestScanThreshold:
         m = ImportanceMatrix(scores=np.array([[0.5, 0.5], [0.5, 0.5]]))
         assert scan_threshold(m, gamma=1.0) == 0.5
 
+    def test_coverage_reads_as_its_decimal(self):
+        # 0.1 of 10 rows is one row; the binary double 0.1 lies just above
+        # 1/10 and would require two
+        scores = np.zeros((10, 2))
+        scores[0, 0] = 0.9
+        scores[:2, 1] = 0.5
+        assert scan_threshold(ImportanceMatrix(scores=scores), gamma=0.1) == 0.9
+
     def test_qual_monotone_on_random_matrices(self):
         rng = np.random.default_rng(23)
         for _ in range(30):

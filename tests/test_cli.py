@@ -585,6 +585,20 @@ class TestOracle:
         assert one_error_line(err) == "ConfigError"
 
 
+    @pytest.mark.parametrize("command", ["extract", "oracle"])
+    @pytest.mark.parametrize("args, code, error", [
+        (["--target-class", "7"], 2, "NoTargetError"),
+        (["--min-support", "2001"], 3, "InfeasibleConfigError"),
+    ])
+    def test_input_checks_match_extract(self, capsys, command, args, code, error):
+        got, out, err = run(
+            capsys, command, "--data", FIXTURES / "two_mode.csv", "--target-column", "label",
+            "--min-support", "150", "--max-rules", "1", *args,
+        )
+        assert (got, out) == (code, "")
+        assert one_error_line(err) == error
+
+
 class TestNegativeSeed:
     @pytest.mark.parametrize("command", ["extract", "explain", "oracle"])
     def test_search_commands(self, capsys, command):

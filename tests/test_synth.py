@@ -1,8 +1,31 @@
 import numpy as np
 import pytest
 
-from regionrules import PlantedMode, PlantedSpec, brute_force_best, gen_synthetic
-from regionrules.errors import ConfigError, EmptyResultError, SpecError, TooLargeError
+from regionrules import (
+    DataTable,
+    ExtractionConfig,
+    FeatureColumn,
+    Interval,
+    PlantedMode,
+    PlantedSpec,
+    Rule,
+    TargetIndicator,
+    brute_force_best,
+    extract_rule_sets,
+    gen_synthetic,
+)
+from regionrules.errors import (
+    ConfigError,
+    EmptyResultError,
+    InfeasibleConfigError,
+    NoTargetError,
+    SchemaError,
+    SpecError,
+    TooLargeError,
+)
+from regionrules.extraction import _rank
+
+from helpers import numeric_table, random_table, ref_brute_force_best
 
 
 def one_mode_spec(**kw):
@@ -15,6 +38,13 @@ def one_mode_spec(**kw):
     )
     base.update(kw)
     return PlantedSpec(**base)
+
+
+def with_missing_cells(rng, col):
+    """``col`` with about a tenth of its cells missing."""
+    vals = col.values.copy()
+    vals[rng.random(len(vals)) < 0.1] = np.nan if col.kind == "numeric" else None
+    return FeatureColumn(col.name, col.kind, vals)
 
 
 class TestGenSynthetic:
@@ -98,8 +128,72 @@ class TestBruteForceBest:
 
     def test_infeasible_support(self, grid_table):
         table, target = grid_table
-        with pytest.raises(EmptyResultError):
+        with pytest.raises(InfeasibleConfigError):
             brute_force_best(table, target, n_g=4, l_max=1, s_min=21)
+
+    def test_no_conjunction_reaches_support(self, grid_table):
+        table, target = grid_table
+        values = table.columns[0].values.copy()
+        values[:5] = np.nan  # 15 rows keep a value, 20 rows remain
+        with pytest.raises(EmptyResultError):
+            brute_force_best(numeric_table(values), target, n_g=4, l_max=1, s_min=16)
+
+    def test_fitness_ties_break_as_the_search_ranks(self):
+        # [0, 0.75] (support 2, tp 2) and [0, 1.5] (support 4, tp 3) both
+        # have fitness 2/3; the search ranks the more confident one first
+        table = numeric_table([0, 0, 1, 1, 2, 2, 3, 3])
+        target = TargetIndicator(flags=np.array([1, 1, 1, 0, 0, 0, 0, 0], dtype=bool))
+        best = brute_force_best(table, target, n_g=4, l_max=1, s_min=1)
+        assert best.rules == (Rule(0, Interval(0.0, 0.75)),)
+        assert (best.stats.support, best.stats.tp) == (2, 2)
+        config = ExtractionConfig(min_support=1, max_rules=1, n_grids=4)
+        assert extract_rule_sets(table, target, [0], config)[0].rules == best.rules
+
+    def test_constant_feature_gets_no_rules(self, grid_table):
+        table, target = grid_table
+        constant = FeatureColumn("c", "numeric", np.full(table.n_rows, 2.5))
+        wider = DataTable(table.columns + (constant,))
+        best = brute_force_best(wider, target, n_g=4, l_max=2, s_min=8)
+        assert best == brute_force_best(table, target, n_g=4, l_max=2, s_min=8)
+
+    def test_empty_target_is_rejected_as_the_search_does(self, grid_table):
+        table, _ = grid_table
+        with pytest.raises(NoTargetError):
+            brute_force_best(table, np.zeros(table.n_rows, bool), n_g=4, l_max=1, s_min=8)
+
+    def test_table_without_features_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="feature set"):
+            brute_force_best(DataTable((), empty_rows=3), [1, 0, 1], n_g=4, l_max=1, s_min=1)
+
+    def test_target_of_the_wrong_length_is_a_schema_error(self, grid_table):
+        table, target = grid_table
+        with pytest.raises(SchemaError, match="length"):
+            brute_force_best(table, target.flags[:-1], n_g=4, l_max=1, s_min=8)
+
+    def test_matches_the_reference_oracle_up_to_rank_ties(self):
+        # same fitness as the oracle that kept its own rank key, and never a
+        # pick that the search would rank after the reference's
+        rng = np.random.default_rng(1212)
+        for _ in range(300):
+            table, target = random_table(rng, max_rows=120, max_features=3)
+            if rng.random() < 0.3:
+                table = DataTable(tuple(with_missing_cells(rng, c) for c in table.columns))
+            args = dict(
+                n_g=int(rng.integers(2, 9)),
+                l_max=int(rng.integers(1, 3)),
+                s_min=int(rng.integers(1, table.n_rows // 2)),
+                strategy=("uniform", "kmeans", "quantile")[rng.integers(3)],
+                seed=int(rng.integers(100)),
+            )
+            try:
+                ref = ref_brute_force_best(table, target, **args)
+            except EmptyResultError:
+                with pytest.raises(EmptyResultError):
+                    brute_force_best(table, target, **args)
+                continue
+            best = brute_force_best(table, target, **args)
+            assert best.stats.fitness == ref.stats.fitness
+            assert _rank(best) <= _rank(ref)
 
     @pytest.mark.parametrize("l_max, s_min", [(0, 5), (1, 0), (-1, -1)])
     def test_rule_cap_and_support_floor_below_one_rejected(self, grid_table, l_max, s_min):
@@ -120,31 +214,24 @@ class TestBruteForceBest:
         s, c, f = best.stats.support, best.stats.confidence, best.stats.fitness
         assert f == s * (2 * c - 1) / target.count
 
-    def test_oracle_bounds_greedy_on_single_feature_tables(self):
-        # with one feature and no conditioning, both searches share the same
-        # unconditional grids, so the exhaustive fitness is an upper bound
-        from regionrules import ExtractionConfig, extract_rule_sets
-        from helpers import random_table
-
+    def test_oracle_bounds_greedy_at_one_rule(self):
+        # at the root no feature is conditioned, so both searches share every
+        # feature's unconditional grids and categories, and the exhaustive
+        # fitness is an upper bound
         rng = np.random.default_rng(31)
-        compared = 0
-        while compared < 25:
-            table, target = random_table(rng, max_rows=120, max_features=1)
-            if table.columns[0].kind != "numeric":
-                continue
+        for _ in range(60):
+            table, target = random_table(rng, max_rows=120, max_features=3)
             n_g = int(rng.integers(2, 9))
             s_min = int(rng.integers(2, table.n_rows // 2))
             strategy = ("uniform", "kmeans", "quantile")[rng.integers(3)]
             config = ExtractionConfig(min_support=s_min, max_rules=1, n_grids=n_g,
                                       strategy=strategy, seed=3)
-            sets = extract_rule_sets(table, target, [0], config)
+            sets = extract_rule_sets(table, target, range(len(table.columns)), config)
             try:
                 oracle = brute_force_best(table, target, n_g=n_g, l_max=1,
                                           s_min=s_min, strategy=strategy, seed=3)
             except EmptyResultError:
                 assert sets == []
-                compared += 1
                 continue
             for rs in sets:
                 assert rs.stats.fitness <= oracle.stats.fitness
-            compared += 1
