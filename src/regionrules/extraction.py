@@ -150,7 +150,7 @@ def rule_mask(table: DataTable, rule: Rule, rows=slice(None)) -> np.ndarray:
         if col.kind != NUMERIC:
             raise SchemaError(f"interval rule on non-numeric column {col.name!r}")
         vals = col.values[rows]
-        return ~np.isnan(vals) & (vals >= rule.predicate.lo) & (vals <= rule.predicate.hi)
+        return (vals >= rule.predicate.lo) & (vals <= rule.predicate.hi)  # NaN fails both
     if col.kind != CATEGORICAL:
         raise SchemaError(f"category rule on non-categorical column {col.name!r}")
     return col.equals_mask(rule.predicate.token, rows)
@@ -176,13 +176,15 @@ def numeric_histogram(
 ) -> tuple[GridHistogram, np.ndarray, np.ndarray]:
     """Merged grid histogram of a numeric feature over the ascending ``rows``,
     with the ascending present values of those rows and of their target rows."""
-    vals = col.values[rows]
+    s = col.values[rows]
     hit = flags[rows]
-    present = ~np.isnan(vals)
-    s, st = vals[present], vals[present & hit]
+    st = s[hit]
+    missing = np.isnan(s)
+    if missing.any():
+        s, st = s[~missing], st[~np.isnan(st)]
     edges = sort_and_make_grids(s, config.n_grids, config.strategy, config.seed)
     st.sort()
-    hist = sorted_grid_counts(edges, s, st, feature, len(rows), int(hit.sum()))
+    hist = sorted_grid_counts(edges, s, st, feature, len(rows), int(np.count_nonzero(hit)))
     return merge_grids(hist), s, st
 
 

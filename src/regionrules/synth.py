@@ -20,7 +20,7 @@ import numpy as np
 from .binning import make_grids
 from .errors import ConfigError, DegenerateFeatureError, EmptyResultError, SpecError
 from .errors import TooLargeError
-from .extraction import CategoryEquals, Interval, Rule, RuleSet, RuleStats
+from .extraction import CategoryEquals, ExtractionConfig, Interval, Rule, RuleSet, RuleStats
 from .extraction import _rank, _search_inputs, rule_mask
 from .tabular import NUMERIC, DataTable, FeatureColumn, TargetIndicator
 
@@ -186,6 +186,10 @@ def brute_force_best(
             f"guard exceeded: features={n_features} (<=3), n_g={n_g} (<=8), "
             f"l_max={l_max} (<=2)"
         )
+    # the search's own checks of n_g, strategy and seed
+    ExtractionConfig(
+        min_support=s_min, max_rules=l_max, n_grids=n_g, strategy=strategy, seed=seed
+    )
     flags, _, target_count = _search_inputs(table, target, range(n_features), s_min)
     options = [
         [(rule, rule_mask(table, rule)) for rule in _options(col, f, n_g, strategy, seed)]

@@ -43,6 +43,18 @@ class TestMakeGrids:
         with pytest.raises(ConfigError):
             make_grids(np.array([0.0, 1.0]), 1, "uniform")
 
+    def test_signed_zero_bounds_come_from_the_values_as_given(self):
+        # min/max and np.quantile of the unsorted values can pick the other
+        # zero than the sorted ends, and the sign reaches the JSON edges
+        rng = np.random.default_rng(1)
+        for _ in range(200):
+            vals = rng.choice([-0.0, 0.0, -3.0], int(rng.integers(2, 300)))
+            vals[:2] = [-3.0, 0.0]
+            edges = make_grids(vals, 3, "uniform")
+            assert np.signbit(edges[-1]) == np.signbit(vals.max())
+            want = np.unique(np.quantile(vals, np.linspace(0.0, 1.0, 4)))
+            assert make_grids(vals, 3, "quantile").tobytes() == want.tobytes()
+
     def test_kmeans_deterministic_under_seed(self):
         rng = np.random.default_rng(5)
         values = rng.normal(size=200)

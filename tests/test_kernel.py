@@ -22,8 +22,9 @@ from regionrules import (
     make_grids,
     merge_grids,
 )
+from regionrules import binning
 from regionrules.binning import MAX_GRIDS, sort_and_make_grids
-from regionrules.errors import ConfigError, DegenerateFeatureError, NoTargetError
+from regionrules.errors import ConfigError, DegenerateFeatureError, DomainError, NoTargetError
 from regionrules.extraction import (
     find_peaks,
     gen_feature_interval,
@@ -126,7 +127,10 @@ def test_node_histogram_and_screening_match_the_mask_kernel(seed):
                 with pytest.raises(type(exc)):
                     get_candidate_rules(table, flags, 0, rows, cfg)
                 continue
-            assert numeric_histogram(table.column(0), flags, rows, cfg, 0)[0] == want_hist
+            hist = numeric_histogram(table.column(0), flags, rows, cfg, 0)[0]
+            assert hist == want_hist
+            # plain ints: numpy integers cannot hash the exact ratios built on them
+            assert type(hist.condition_total) is type(hist.condition_target) is int
             got = get_candidate_rules(table, flags, 0, rows, cfg)
             assert {
                 (c.rule.predicate.lo, c.rule.predicate.hi, c.support, c.tp) for c in got
@@ -204,6 +208,81 @@ def test_kmeans_edges_are_byte_identical_to_the_choice_based_reference(name, val
         assert ties  # values the left cluster keeps
     if name == "iteration cap":
         assert lloyd_moves(vals, make_grids(vals, n_gs[0], "kmeans", 0))
+
+
+def certified_draw_cases():
+    """(name, values, grid counts) around the block sums of the seeding draw."""
+    rng = np.random.default_rng(29)
+    for n in (2, 3, 2047, 2048, 2049, 4097, 200_000):
+        yield f"normal n={n}", rng.normal(size=n), (2, 10)
+    yield "heavy duplicates", rng.choice([0.0, 1.0, 5.0], 20_000, p=[0.98, 0.015, 0.005]), (3, 8)
+    mostly_zero = np.zeros(9000)
+    mostly_zero[rng.choice(9000, 12, replace=False)] = rng.random(12)
+    yield "mostly zeros", mostly_zero, (4, 11)
+    yield "1e-300 scale", rng.normal(size=5000) * 1e-300, (5,)
+    yield "subnormal squares", rng.normal(size=5000) * 1e-160, (5,)
+    # squared distances whose block sums reach 2**1000 without overflowing
+    yield "whole above 2**1000", rng.normal(size=5000) * 1e151, (3, 6)
+    yield "cauchy x 1e100", rng.standard_cauchy(4097) * 1e100, (6,)
+
+
+CERTIFIED_CASES = list(certified_draw_cases())
+
+
+@pytest.fixture(params=["located", "replayed"])
+def seeding(request, monkeypatch):
+    """Count draws and full replays of choice; the ``replayed`` run sets the
+    margin so wide that no located draw is accepted."""
+    counts = {"draws": 0, "replays": 0}
+    seed_index, replayed_choice = binning._seed_index, binning._replayed_choice
+
+    def counted_draw(*args):
+        counts["draws"] += 1
+        return seed_index(*args)
+
+    def counted_replay(*args):
+        counts["replays"] += 1
+        return replayed_choice(*args)
+
+    monkeypatch.setattr(binning, "_seed_index", counted_draw)
+    monkeypatch.setattr(binning, "_replayed_choice", counted_replay)
+    if request.param == "replayed":
+        monkeypatch.setattr(binning, "_MARGIN_PER_VALUE", 1.0)
+    return request.param, counts
+
+
+@pytest.mark.parametrize(
+    "name, vals, n_gs", CERTIFIED_CASES, ids=[c[0] for c in CERTIFIED_CASES]
+)
+def test_certified_draw_gives_the_choice_based_edges(name, vals, n_gs, seeding):
+    mode, counts = seeding
+    for n_g in n_gs:
+        for seed in (0, 3):
+            want = ref_kmeans_edges(vals, n_g, seed)
+            assert make_grids(vals, n_g, "kmeans", seed).tobytes() == want.tobytes()
+    if mode == "replayed":
+        assert counts["replays"] == counts["draws"]
+    if name == "whole above 2**1000":
+        assert counts["draws"] and counts["replays"] == counts["draws"]
+
+
+@pytest.mark.parametrize(
+    "vals",
+    [np.array([0.0, 1e200, -1e200]), np.array([-1.7e308, 0.0, 1.7e308] * 1500)],
+    ids=["three values", "two blocks"],
+)
+def test_certified_draw_keeps_the_overflow_error(vals, seeding):
+    with pytest.raises(DomainError, match="overflow"):
+        make_grids(vals, 4, "kmeans", 0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(np.square(vals - vals[0]).sum())
+
+
+@pytest.mark.parametrize("seeding", ["located"], indirect=True)
+def test_uniform_values_take_the_located_draw_every_time(seeding):
+    _, counts = seeding
+    make_grids(np.random.default_rng(0).random(200_000), 10, "kmeans", 0)
+    assert counts == {"draws": 9, "replays": 0}
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)

@@ -201,6 +201,27 @@ class TestBruteForceBest:
         with pytest.raises(ConfigError):
             brute_force_best(table, target, n_g=4, l_max=l_max, s_min=s_min)
 
+    @pytest.mark.parametrize(
+        "args, match",
+        [
+            (dict(n_g=1), "n_grids must be >= 2"),
+            (dict(n_g=-3), "n_grids must be >= 2"),
+            (dict(n_g=4, strategy="bogus"), "unknown binning strategy"),
+            (dict(n_g=4, seed=-1), "seed must be >= 0"),
+        ],
+    )
+    def test_categorical_table_checks_the_binning_options_as_the_search_does(self, args, match):
+        # no numeric feature, so no make_grids call checks them
+        col = FeatureColumn("g", "categorical", np.array(list("aabbab"), dtype=object))
+        target = np.array([1, 1, 0, 0, 1, 0], dtype=bool)
+        with pytest.raises(ConfigError, match=match):
+            brute_force_best(DataTable((col,)), target, l_max=1, s_min=1, **args)
+
+    def test_negative_seed_with_a_kmeans_feature_is_a_config_error(self, grid_table):
+        table, target = grid_table
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            brute_force_best(table, target, n_g=4, l_max=1, s_min=8, strategy="kmeans", seed=-1)
+
     def test_tractability_guard(self, grid_table):
         table, target = grid_table
         with pytest.raises(TooLargeError):
