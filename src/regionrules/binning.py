@@ -10,7 +10,6 @@ rounding could move them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import pairwise
 
 import numpy as np
@@ -45,26 +44,28 @@ class GridHistogram:
     condition_target: int
 
     def __post_init__(self):
-        object.__setattr__(self, "edges", tuple(float(e) for e in self.edges))
-        object.__setattr__(self, "target_counts", tuple(int(t) for t in self.target_counts))
-        object.__setattr__(self, "total_counts", tuple(int(t) for t in self.total_counts))
+        for name, cast in (("edges", float), ("target_counts", int), ("total_counts", int)):
+            object.__setattr__(self, name, tuple(map(cast, getattr(self, name))))
+        for name in ("condition_total", "condition_target"):
+            object.__setattr__(self, name, int(getattr(self, name)))
         if len(self.edges) != len(self.total_counts) + 1:
             raise ConfigError("edges must have one more entry than counts")
         if len(self.target_counts) != len(self.total_counts):
             raise ConfigError("target and total counts must align")
         if any(a >= b for a, b in zip(self.edges, self.edges[1:])):
             raise ConfigError("edges must be strictly ascending")
-        if any(t > n for t, n in zip(self.target_counts, self.total_counts)):
-            raise ConfigError("target count exceeds total count in a grid")
+        if any(not 0 <= t <= n for t, n in zip(self.target_counts, self.total_counts)):
+            raise ConfigError("a grid's target count must be non-negative and within its total")
 
     @property
     def n_grids(self) -> int:
         return len(self.total_counts)
 
 
-def _grid_fraction(t: int, n: int) -> Fraction:
-    """Exact target share of a grid; empty grids count as zero."""
-    return Fraction(t, n) if n else Fraction(0)
+def share_above(a: tuple[int, int], b: tuple[int, int]) -> bool:
+    """Whether ``a = (target, total)`` has a higher target share than ``b``, by
+    cross-multiplication; an empty grid ``(0, 0)`` compares as ``0 / 1``."""
+    return a[0] * (b[1] or 1) > b[0] * (a[1] or 1)
 
 
 def make_grids(values, n_g: int, strategy: str = "uniform", seed: int = 0) -> np.ndarray:
@@ -201,15 +202,15 @@ def sorted_grid_counts(
     of the condition rows and of its target rows."""
     edges = np.asarray(edges, dtype=np.float64)
 
-    def per_grid(ascending: np.ndarray) -> np.ndarray:
+    def per_grid(ascending: np.ndarray) -> list[int]:
         bounds = np.searchsorted(ascending, edges)
         bounds[-1] = np.searchsorted(ascending, edges[-1], side="right")
-        return np.diff(bounds)
+        return np.diff(bounds).tolist()
 
     return GridHistogram(
-        edges=tuple(edges),
-        target_counts=tuple(per_grid(st)),
-        total_counts=tuple(per_grid(s)),
+        edges=edges.tolist(),
+        target_counts=per_grid(st),
+        total_counts=per_grid(s),
         feature=feature,
         condition_total=condition_total,
         condition_target=condition_target,
@@ -240,10 +241,11 @@ def grid_counts(
 def merge_grids(hist: GridHistogram) -> GridHistogram:
     """Merge equal-ratio neighbours, then fold empty grids into the better side.
 
-    Ratio equality is decided exactly on integer counts (cross-multiplication,
-    empty grids counting as ratio zero). Empty grids join the neighbour with
-    the higher ratio, ties going left. The two passes repeat until nothing
-    changes, which makes the operation idempotent and conserves all counts.
+    Ratios are compared exactly on integer counts by cross-multiplication
+    (:func:`share_above`; empty grids count as ratio zero). Empty grids join
+    the neighbour with the higher ratio, ties going left. The two passes
+    repeat until nothing changes, which makes the operation idempotent and
+    conserves all counts. A histogram with nothing to merge comes back as is.
     """
     edges = list(hist.edges)
     tc = list(hist.target_counts)
@@ -254,7 +256,7 @@ def merge_grids(hist: GridHistogram) -> GridHistogram:
         changed = False
         i = 0
         while i < len(nc) - 1:
-            if _grid_fraction(tc[i], nc[i]) == _grid_fraction(tc[i + 1], nc[i + 1]):
+            if tc[i] * (nc[i + 1] or 1) == tc[i + 1] * (nc[i] or 1):
                 tc[i] += tc[i + 1]
                 nc[i] += nc[i + 1]
                 del tc[i + 1], nc[i + 1], edges[i + 1]
@@ -269,9 +271,7 @@ def merge_grids(hist: GridHistogram) -> GridHistogram:
                 elif i == len(nc) - 1:
                     j = i - 1
                 else:
-                    right_higher = _grid_fraction(tc[i + 1], nc[i + 1]) > _grid_fraction(
-                        tc[i - 1], nc[i - 1]
-                    )
+                    right_higher = share_above((tc[i + 1], nc[i + 1]), (tc[i - 1], nc[i - 1]))
                     j = i + 1 if right_higher else i - 1
                 tc[j] += tc[i]
                 nc[j] += nc[i]
@@ -282,6 +282,8 @@ def merge_grids(hist: GridHistogram) -> GridHistogram:
             else:
                 i += 1
 
+    if len(nc) == hist.n_grids:  # every pass only ever removes grids
+        return hist
     return GridHistogram(
         edges=tuple(edges),
         target_counts=tuple(tc),

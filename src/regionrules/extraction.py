@@ -3,7 +3,8 @@
 The search greedily grows value intervals around peaks of the per-grid
 probability ratio (target share over overall share, conditioned on the rules
 already chosen) and explores the best candidates breadth-first in a K-branch
-tree. All ranking comparisons are exact: counts stay integers and ratios are
+tree. All ranking comparisons are exact: counts stay integers, ratios are
+compared by integer cross-multiplication and reported as
 :class:`fractions.Fraction`.
 """
 
@@ -16,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .binning import MAX_GRIDS, STRATEGIES, GridHistogram, merge_grids
+from .binning import MAX_GRIDS, STRATEGIES, GridHistogram, merge_grids, share_above
 from .binning import sort_and_make_grids, sorted_grid_counts
 from .binning import grid_counts  # noqa: F401  (unused here; perfbench patches this name)
 from .errors import (
@@ -169,23 +170,31 @@ def rule_set_mask(table: DataTable, rules: Iterable[Rule]) -> np.ndarray:
 
 def numeric_histogram(
     col: FeatureColumn,
-    flags: np.ndarray,
+    target_rows: np.ndarray,
     rows: np.ndarray,
     config: ExtractionConfig,
     feature: int,
 ) -> tuple[GridHistogram, np.ndarray, np.ndarray]:
     """Merged grid histogram of a numeric feature over the ascending ``rows``,
-    with the ascending present values of those rows and of their target rows."""
+    with the ascending present values of those rows and of ``target_rows``,
+    the ascending target rows among them."""
     s = col.values[rows]
-    hit = flags[rows]
-    st = s[hit]
+    st = col.values[target_rows]
     missing = np.isnan(s)
     if missing.any():
         s, st = s[~missing], st[~np.isnan(st)]
     edges = sort_and_make_grids(s, config.n_grids, config.strategy, config.seed)
     st.sort()
-    hist = sorted_grid_counts(edges, s, st, feature, len(rows), int(np.count_nonzero(hit)))
+    hist = sorted_grid_counts(edges, s, st, feature, len(rows), len(target_rows))
     return merge_grids(hist), s, st
+
+
+def _check_condition(condition_total: int, condition_target: int) -> None:
+    """Ratios are defined only when the condition holds target rows."""
+    if condition_target < 1:
+        raise NoTargetError("no target rows satisfy the conditioning rules")
+    if condition_total < 1:
+        raise NoTargetError("no rows satisfy the conditioning rules")
 
 
 def count_ratios(
@@ -198,10 +207,7 @@ def count_ratios(
 
     Empty bins get ratio 0 by convention.
     """
-    if condition_target < 1:
-        raise NoTargetError("no target rows satisfy the conditioning rules")
-    if condition_total < 1:
-        raise NoTargetError("no rows satisfy the conditioning rules")
+    _check_condition(condition_total, condition_target)
     return [
         Fraction(t * condition_total, n * condition_target) if n else Fraction(0)
         for t, n in zip(target_counts, total_counts)
@@ -251,50 +257,36 @@ def gen_feature_interval(
     support is sufficient, a neighbour is annexed only when its ratio exceeds
     both the other neighbour's and the interval's current ratio. Returns
     ``None`` when the final interval still lacks support or its ratio is not
-    above 1.
+    above 1. Ratios are compared as target shares (:func:`share_above`; the
+    positive factor ``condition_total / condition_target`` cancels), and a
+    ratio above 1 is ``t condition_total > n condition_target``.
     """
     g = hist.n_grids
     if not 0 <= peak < g:
         raise DomainError(f"peak grid {peak} out of range for {g} grids")
     tc, nc = hist.target_counts, hist.total_counts
     ct, cn = hist.condition_target, hist.condition_total
-    ratios = count_ratios(tc, nc, cn, ct)
+    _check_condition(cn, ct)
+    grids = list(zip(tc, nc))
 
     lo = hi = peak
     cur_t, cur_n = tc[peak], nc[peak]
-
-    def cur_ratio() -> Fraction:
-        return Fraction(cur_t * cn, cur_n * ct) if cur_n else Fraction(0)
-
-    while cur_n < min_support or cur_ratio() > 1:
+    while cur_n < min_support or cur_t * cn > cur_n * ct:
         left = lo - 1 if lo > 0 else None
         right = hi + 1 if hi < g - 1 else None
         if left is None and right is None:
             break
-        pick = None
-        if cur_n < min_support:
-            if left is None:
-                pick = right
-            elif right is None:
-                pick = left
-            elif ratios[left] != ratios[right]:
-                pick = left if ratios[left] > ratios[right] else right
-            elif nc[left] != nc[right]:
-                pick = left if nc[left] > nc[right] else right
-            else:
-                pick = left
+        tie = False
+        if left is None or right is None:
+            pick = right if left is None else left
+        elif share_above(grids[left], grids[right]):
+            pick = left
+        elif share_above(grids[right], grids[left]):
+            pick = right
         else:
-            r = cur_ratio()
-            if left is None:
-                pick = right if ratios[right] > r else None
-            elif right is None:
-                pick = left if ratios[left] > r else None
-            elif ratios[left] > ratios[right] and ratios[left] > r:
-                pick = left
-            elif ratios[right] > ratios[left] and ratios[right] > r:
-                pick = right
-            if pick is None:
-                break
+            pick, tie = (right if nc[right] > nc[left] else left), True
+        if cur_n >= min_support and (tie or not share_above(grids[pick], (cur_t, cur_n))):
+            break
         cur_t += tc[pick]
         cur_n += nc[pick]
         if pick == left:
@@ -302,9 +294,10 @@ def gen_feature_interval(
         else:
             hi = pick
 
-    if cur_n < min_support or cur_ratio() <= 1:
+    if cur_n < min_support or cur_t * cn <= cur_n * ct:
         return None
-    return GrownInterval(lo_grid=lo, hi_grid=hi, ratio=cur_ratio(), support=cur_n)
+    ratio = Fraction(cur_t * cn, cur_n * ct)
+    return GrownInterval(lo_grid=lo, hi_grid=hi, ratio=ratio, support=cur_n)
 
 
 # ---------------------------------------------------------------------------
@@ -350,14 +343,12 @@ def _screen_interval(
     n, tp = (
         int(np.searchsorted(a, hi, side="right") - np.searchsorted(a, lo)) for a in (s, st)
     )
-    if n < min_support or n == 0:
-        return None
-    ratio = Fraction(tp * hist.condition_total, n * hist.condition_target)
-    if ratio <= 1:
+    cn, ct = hist.condition_total, hist.condition_target
+    if n < min_support or tp * cn <= n * ct:  # ratio <= 1, or no row at all
         return None
     return Candidate(
         rule=Rule(feature=feature, predicate=Interval(lo, hi)),
-        ratio=ratio,
+        ratio=Fraction(tp * cn, n * ct),
         support=n,
         tp=tp,
     )
@@ -365,14 +356,14 @@ def _screen_interval(
 
 def _numeric_candidates(
     table: DataTable,
-    flags: np.ndarray,
+    target_rows: np.ndarray,
     feature: int,
     rows: np.ndarray,
     config: ExtractionConfig,
     sample_value=_NO_SAMPLE,
 ) -> list[Candidate]:
     col = table.column(feature)
-    merged, s, st = numeric_histogram(col, flags, rows, config, feature)
+    merged, s, st = numeric_histogram(col, target_rows, rows, config, feature)
     ratios = grid_ratios(merged)
 
     grown: dict[tuple[int, int], GrownInterval] = {}
@@ -407,16 +398,15 @@ def _numeric_candidates(
 
 def _categorical_candidates(
     table: DataTable,
-    flags: np.ndarray,
+    target_rows: np.ndarray,
     feature: int,
     rows: np.ndarray,
     config: ExtractionConfig,
     sample_value=_NO_SAMPLE,
 ) -> list[Candidate]:
     col = table.column(feature)
-    hit = rows[flags[rows]]
-    tc, nc = col.category_counts(hit), col.category_counts(rows)
-    ratios = count_ratios(tc, nc, len(rows), len(hit))
+    tc, nc = col.category_counts(target_rows), col.category_counts(rows)
+    ratios = count_ratios(tc, nc, len(rows), len(target_rows))
     codes = range(len(nc))
     if sample_value is not _NO_SAMPLE:
         k = col.code_of(sample_value)
@@ -442,6 +432,8 @@ def get_candidate_rules(
     condition,
     config: ExtractionConfig,
     sample_value=_NO_SAMPLE,
+    *,
+    target_rows: np.ndarray | None = None,
 ) -> list[Candidate]:
     """Up to ``max_branches`` screened rules for one feature, best ratio first.
 
@@ -451,17 +443,20 @@ def get_candidate_rules(
     When ``sample_value`` is given, numeric growth starts from (or keeps
     intervals covering) the sample's grid and categorical candidates are
     restricted to the sample's category. ``condition`` is a boolean row mask
-    or the ascending indices of the rows satisfying the rules so far.
+    or the ascending indices of the rows satisfying the rules so far, and
+    ``target_rows`` the target rows among them (selected here if not given).
     """
     flags = target_flags(target)
     rows = np.asarray(condition)
     rows = np.flatnonzero(rows) if rows.dtype == bool else rows.astype(np.intp, copy=False)
     if not len(rows):
         raise ConfigError("condition mask selects no rows")
+    if target_rows is None:
+        target_rows = rows[flags[rows]]
     col = table.column(feature)
     feature_idx = table.column_index(col.name)
     build = _numeric_candidates if col.kind == NUMERIC else _categorical_candidates
-    out = build(table, flags, feature_idx, rows, config, sample_value)
+    out = build(table, target_rows, feature_idx, rows, config, sample_value)
     out.sort(key=Candidate._order_key)
     return out[: config.max_branches]
 
@@ -494,10 +489,11 @@ def _add_rules(
     if not remaining or node.depth >= config.max_rules:
         return
     pool: list[Candidate] = []
+    hit = rows[flags[rows]]  # the node's target rows, shared by every feature
     for f in sorted(remaining):
-        sample_value = samples[f] if samples is not None else _NO_SAMPLE
+        sample = samples[f] if samples is not None else _NO_SAMPLE
         try:
-            cands = get_candidate_rules(table, flags, f, rows, config, sample_value)
+            cands = get_candidate_rules(table, flags, f, rows, config, sample, target_rows=hit)
         except DegenerateFeatureError:
             continue  # constant within this branch: nothing to split on
         pool.extend(cands)

@@ -279,6 +279,126 @@ def ref_grid_counts(edges, vals, flags, cond, feature: int = 0):
     )
 
 
+# The Fraction-based grid merge and interval growth the integer
+# cross-multiplications replaced, kept verbatim in behaviour: every ratio
+# comparison builds exact Fractions, an empty grid's ratio being Fraction(0).
+
+
+def _ref_share(t: int, n: int) -> Fraction:
+    return Fraction(t, n) if n else Fraction(0)
+
+
+def ref_merge_grids(hist):
+    """:func:`regionrules.merge_grids` on Fraction shares."""
+    from regionrules import GridHistogram
+
+    edges = list(hist.edges)
+    tc = list(hist.target_counts)
+    nc = list(hist.total_counts)
+    changed = True
+    while changed:
+        changed = False
+        i = 0
+        while i < len(nc) - 1:
+            if _ref_share(tc[i], nc[i]) == _ref_share(tc[i + 1], nc[i + 1]):
+                tc[i] += tc[i + 1]
+                nc[i] += nc[i + 1]
+                del tc[i + 1], nc[i + 1], edges[i + 1]
+                changed = True
+            else:
+                i += 1
+        i = 0
+        while i < len(nc):
+            if nc[i] == 0 and len(nc) > 1:
+                if i == 0:
+                    j = i + 1
+                elif i == len(nc) - 1:
+                    j = i - 1
+                else:
+                    right_higher = _ref_share(tc[i + 1], nc[i + 1]) > _ref_share(
+                        tc[i - 1], nc[i - 1]
+                    )
+                    j = i + 1 if right_higher else i - 1
+                tc[j] += tc[i]
+                nc[j] += nc[i]
+                del tc[i], nc[i]
+                del edges[i + 1 if j > i else i]
+                changed = True
+            else:
+                i += 1
+    return GridHistogram(
+        edges=tuple(edges),
+        target_counts=tuple(tc),
+        total_counts=tuple(nc),
+        feature=hist.feature,
+        condition_total=hist.condition_total,
+        condition_target=hist.condition_target,
+    )
+
+
+def ref_gen_feature_interval(hist, peak: int, min_support: int):
+    """:func:`regionrules.gen_feature_interval` on Fraction ratios."""
+    from regionrules.errors import DomainError, NoTargetError
+    from regionrules.extraction import GrownInterval
+
+    g = hist.n_grids
+    if not 0 <= peak < g:
+        raise DomainError(f"peak grid {peak} out of range for {g} grids")
+    tc, nc = hist.target_counts, hist.total_counts
+    ct, cn = hist.condition_target, hist.condition_total
+    if ct < 1:
+        raise NoTargetError("no target rows satisfy the conditioning rules")
+    if cn < 1:
+        raise NoTargetError("no rows satisfy the conditioning rules")
+    ratios = [Fraction(t * cn, n * ct) if n else Fraction(0) for t, n in zip(tc, nc)]
+
+    lo = hi = peak
+    cur_t, cur_n = tc[peak], nc[peak]
+
+    def cur_ratio() -> Fraction:
+        return Fraction(cur_t * cn, cur_n * ct) if cur_n else Fraction(0)
+
+    while cur_n < min_support or cur_ratio() > 1:
+        left = lo - 1 if lo > 0 else None
+        right = hi + 1 if hi < g - 1 else None
+        if left is None and right is None:
+            break
+        pick = None
+        if cur_n < min_support:
+            if left is None:
+                pick = right
+            elif right is None:
+                pick = left
+            elif ratios[left] != ratios[right]:
+                pick = left if ratios[left] > ratios[right] else right
+            elif nc[left] != nc[right]:
+                pick = left if nc[left] > nc[right] else right
+            else:
+                pick = left
+        else:
+            r = cur_ratio()
+            if left is None:
+                pick = right if ratios[right] > r else None
+            elif right is None:
+                pick = left if ratios[left] > r else None
+            elif ratios[left] > ratios[right] and ratios[left] > r:
+                pick = left
+            elif ratios[right] > ratios[left] and ratios[right] > r:
+                pick = right
+            if pick is None:
+                break
+        cur_t += tc[pick]
+        cur_n += nc[pick]
+        if pick == left:
+            lo = pick
+        else:
+            hi = pick
+
+    if cur_n < min_support or cur_ratio() <= 1:
+        return None
+    return GrownInterval(lo_grid=lo, hi_grid=hi, ratio=cur_ratio(), support=cur_n)
+
+
 def ref_screen_interval(vals, flags, cond, lo: float, hi: float) -> tuple[int, int]:
     """(rows, target rows) under ``cond`` whose value lies in [lo, hi]."""
     pm = cond & ~np.isnan(vals) & (vals >= lo) & (vals <= hi)

@@ -201,3 +201,23 @@ class TestMergeGrids:
         # empty grids survive only in the degenerate all-empty case
         if sum(merged.total_counts) > 0:
             assert all(n > 0 for n in merged.total_counts)
+
+
+class TestGridHistogram:
+    def test_numpy_integer_condition_counts_become_ints(self):
+        from regionrules import grid_ratios
+
+        hist = GridHistogram(
+            edges=(0.0, 1.0, 2.0), target_counts=(1, 3), total_counts=(4, 4),
+            feature=0, condition_total=np.int64(8), condition_target=np.int64(4),
+        )
+        assert type(hist.condition_total) is type(hist.condition_target) is int
+        ratios = grid_ratios(hist)
+        assert hash(tuple(ratios)) == hash((Fraction(1, 2), Fraction(3, 2)))
+
+    def test_negative_counts_rejected(self):
+        with pytest.raises(ConfigError, match="non-negative"):
+            make_hist([(-1, 0), (1, 2)])
+
+    def test_merge_without_change_returns_the_histogram(self, grid_hist):
+        assert merge_grids(grid_hist) is grid_hist

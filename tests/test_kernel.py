@@ -17,6 +17,7 @@ from regionrules import (
     DataTable,
     ExtractionConfig,
     FeatureColumn,
+    GridHistogram,
     get_candidate_rules,
     grid_counts,
     make_grids,
@@ -35,9 +36,11 @@ from regionrules.extraction import (
 from helpers import (
     random_config,
     random_table,
+    ref_gen_feature_interval,
     ref_grid_counts,
     ref_kmeans_1d,
     ref_make_grids,
+    ref_merge_grids,
     ref_screen_interval,
 )
 
@@ -69,12 +72,13 @@ def edges_or_error(build, *args):
 
 
 def ref_candidates(vals, flags, cond, config):
-    """Merged histogram and screened (lo, hi, support, tp) by full-table masks."""
+    """Merged histogram and screened (lo, hi, support, tp) by full-table masks
+    and the Fraction-based merge and growth."""
     edges = ref_make_grids(vals[cond], config.n_grids, config.strategy, config.seed)
-    hist = merge_grids(ref_grid_counts(edges, vals, flags, cond))
+    hist = ref_merge_grids(ref_grid_counts(edges, vals, flags, cond))
     out = set()
     for p in find_peaks(grid_ratios(hist)):
-        grown = gen_feature_interval(hist, p, config.min_support)
+        grown = ref_gen_feature_interval(hist, p, config.min_support)
         if grown is None:
             continue
         lo, hi = hist.edges[grown.lo_grid], hist.edges[grown.hi_grid + 1]
@@ -83,6 +87,67 @@ def ref_candidates(vals, flags, cond, config):
         if n >= config.min_support and ratio > 1:
             out.add((lo, hi, n, tp))
     return hist, out
+
+
+def random_histogram(rng):
+    """1-12 grids mixing empty, zero-target and all-target grids with repeated
+    shares and supports, under a condition that may hold no target row."""
+    pairs = []
+    for _ in range(int(rng.integers(1, 13))):
+        kind = int(rng.integers(6))
+        n = int(rng.integers(1, 9))
+        if kind == 0:
+            pairs.append((0, 0))
+        elif kind == 1:
+            pairs.append((0, n))
+        elif kind == 2:
+            pairs.append((n, n))
+        elif kind == 3 and pairs:  # an earlier grid's share, scaled
+            t, m = pairs[rng.integers(len(pairs))]
+            k = int(rng.integers(1, 4))
+            pairs.append((t * k, m * k))
+        elif kind == 4 and pairs:  # an earlier grid's support
+            m = pairs[rng.integers(len(pairs))][1]
+            pairs.append((int(rng.integers(m + 1)), m))
+        else:
+            pairs.append((int(rng.integers(n + 1)), n))
+    tc, nc = zip(*pairs)
+    # rows missing the feature still count in the condition
+    ct = sum(tc) + int(rng.integers(3)) if rng.random() > 0.1 else 0
+    cn = sum(nc) + int(rng.integers(4)) if rng.random() > 0.05 else 0
+    return GridHistogram(
+        edges=tuple(float(i) for i in range(len(pairs) + 1)),
+        target_counts=tc,
+        total_counts=nc,
+        feature=0,
+        condition_total=cn,
+        condition_target=ct,
+    )
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (DomainError, NoTargetError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_integer_merge_and_growth_match_the_fraction_reference(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(300):
+        hist = random_histogram(rng)
+        merged = merge_grids(hist)
+        assert merged == ref_merge_grids(hist)
+        total = sum(hist.total_counts)
+        supports = {0, 1, total - 1, total, total + 1, int(rng.integers(total + 2))}
+        for h in (hist, merged):
+            for start in range(-1, h.n_grids + 1):
+                for min_support in supports:
+                    got = outcome(gen_feature_interval, h, start, min_support)
+                    assert got == outcome(ref_gen_feature_interval, h, start, min_support)
+                    if got is not None and not isinstance(got, tuple):
+                        assert type(got.ratio) is Fraction
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -127,7 +192,7 @@ def test_node_histogram_and_screening_match_the_mask_kernel(seed):
                 with pytest.raises(type(exc)):
                     get_candidate_rules(table, flags, 0, rows, cfg)
                 continue
-            hist = numeric_histogram(table.column(0), flags, rows, cfg, 0)[0]
+            hist = numeric_histogram(table.column(0), rows[flags[rows]], rows, cfg, 0)[0]
             assert hist == want_hist
             # plain ints: numpy integers cannot hash the exact ratios built on them
             assert type(hist.condition_total) is type(hist.condition_target) is int
