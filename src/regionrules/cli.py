@@ -242,19 +242,18 @@ def _extraction_config(args: argparse.Namespace) -> ExtractionConfig:
 def _root_histograms(table, target, feature_indices, config) -> list[dict]:
     """Unconditioned histograms of the search, for external plotting; ratios
     are the exact ratios rounded once to float."""
-    rows = np.arange(table.n_rows)
-    hit = rows[target.flags]
+    hit = np.flatnonzero(target.flags)
     out = []
     for f in feature_indices:
         col = table.column(f)
         entry: dict = {"feature": col.name}
         try:
             if col.kind == NUMERIC:
-                hist = numeric_histogram(col, hit, rows, config, f)[0]
+                hist = numeric_histogram(col, hit, None, config, f)[0]
                 tc, nc = list(hist.target_counts), list(hist.total_counts)
                 entry["edges"] = [float(e) for e in hist.edges]
             else:
-                tc, nc = col.category_counts(hit), col.category_counts(rows)
+                tc, nc = col.category_counts(hit), col.category_counts()
                 entry["categories"] = col.vocabulary
             ratios = count_ratios(tc, nc, table.n_rows, target.count)
             entry.update(target_counts=tc, total_counts=nc, ratios=list(map(float, ratios)))

@@ -143,14 +143,14 @@ class ExtractionConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
-def rule_mask(table: DataTable, rule: Rule, rows=slice(None)) -> np.ndarray:
+def rule_mask(table: DataTable, rule: Rule, rows=None) -> np.ndarray:
     """Which of ``rows`` (default: all rows) satisfy the rule; rows missing
     the feature never satisfy it."""
     col = table.column(rule.feature)
     if isinstance(rule.predicate, Interval):
         if col.kind != NUMERIC:
             raise SchemaError(f"interval rule on non-numeric column {col.name!r}")
-        vals = col.values[rows]
+        vals = col.values if rows is None else col.values[rows]
         return (vals >= rule.predicate.lo) & (vals <= rule.predicate.hi)  # NaN fails both
     if col.kind != CATEGORICAL:
         raise SchemaError(f"category rule on non-categorical column {col.name!r}")
@@ -171,21 +171,25 @@ def rule_set_mask(table: DataTable, rules: Iterable[Rule]) -> np.ndarray:
 def numeric_histogram(
     col: FeatureColumn,
     target_rows: np.ndarray,
-    rows: np.ndarray,
+    rows: np.ndarray | None,
     config: ExtractionConfig,
     feature: int,
 ) -> tuple[GridHistogram, np.ndarray, np.ndarray]:
-    """Merged grid histogram of a numeric feature over the ascending ``rows``,
-    with the ascending present values of those rows and of ``target_rows``,
-    the ascending target rows among them."""
-    s = col.values[rows]
-    st = col.values[target_rows]
-    missing = np.isnan(s)
-    if missing.any():
-        s, st = s[~missing], st[~np.isnan(st)]
+    """Merged grid histogram of a numeric feature over the ascending ``rows``
+    (``None``: every row), with the ascending present values of those rows
+    and of ``target_rows``, the ascending target rows among them. The column
+    itself is never sorted."""
+    vals = col.values
+    s = vals if rows is None else vals[rows]
+    st = vals[target_rows]
+    if col.has_missing:
+        s, st = s[~np.isnan(s)], st[~np.isnan(st)]
+    elif rows is None:
+        s = s.copy()  # sorted in place below
     edges = sort_and_make_grids(s, config.n_grids, config.strategy, config.seed)
     st.sort()
-    hist = sorted_grid_counts(edges, s, st, feature, len(rows), len(target_rows))
+    n = len(vals) if rows is None else len(rows)
+    hist = sorted_grid_counts(edges, s, st, feature, n, len(target_rows))
     return merge_grids(hist), s, st
 
 
@@ -406,7 +410,8 @@ def _categorical_candidates(
 ) -> list[Candidate]:
     col = table.column(feature)
     tc, nc = col.category_counts(target_rows), col.category_counts(rows)
-    ratios = count_ratios(tc, nc, len(rows), len(target_rows))
+    n = table.n_rows if rows is None else len(rows)
+    ratios = count_ratios(tc, nc, n, len(target_rows))
     codes = range(len(nc))
     if sample_value is not _NO_SAMPLE:
         k = col.code_of(sample_value)
@@ -442,17 +447,31 @@ def get_candidate_rules(
     candidate. Candidates must clear the support floor with ratio > 1.
     When ``sample_value`` is given, numeric growth starts from (or keeps
     intervals covering) the sample's grid and categorical candidates are
-    restricted to the sample's category. ``condition`` is a boolean row mask
-    or the ascending indices of the rows satisfying the rules so far, and
-    ``target_rows`` the target rows among them (selected here if not given).
+    restricted to the sample's category. ``condition`` holds the rows
+    satisfying the rules so far: ``None`` for every row, a boolean row mask,
+    or strictly ascending row indices. ``target_rows`` are the target rows
+    among them; when they are not given, they are selected here and index
+    conditions are checked to ascend.
     """
-    flags = target_flags(target)
-    rows = np.asarray(condition)
-    rows = np.flatnonzero(rows) if rows.dtype == bool else rows.astype(np.intp, copy=False)
-    if not len(rows):
+    n = table.n_rows
+    flags = _target_of_length(target, n)
+    rows = None if condition is None else np.asarray(condition)
+    if rows is not None and (rows.ndim != 1 or (len(rows) and rows.dtype.kind not in "biu")):
+        raise ConfigError("condition must be a boolean mask or integer row indices")
+    if rows is not None and rows.dtype == bool:
+        if len(rows) != n:
+            raise SchemaError("condition mask length does not match the table")
+        rows = np.flatnonzero(rows)
+    elif rows is not None:
+        rows = rows.astype(np.intp, copy=False)
+        if target_rows is None and (np.diff(rows) <= 0).any():
+            raise ConfigError("condition row indices must be strictly ascending")
+        if len(rows) and (rows[0] < 0 or rows[-1] >= n):
+            raise ConfigError(f"condition row index out of range for {n} rows")
+    if (n if rows is None else len(rows)) == 0:
         raise ConfigError("condition mask selects no rows")
     if target_rows is None:
-        target_rows = rows[flags[rows]]
+        target_rows = np.flatnonzero(flags) if rows is None else rows[flags[rows]]
     col = table.column(feature)
     feature_idx = table.column_index(col.name)
     build = _numeric_candidates if col.kind == NUMERIC else _categorical_candidates
@@ -481,15 +500,20 @@ def _add_rules(
     table: DataTable,
     flags: np.ndarray,
     node: RuleTreeNode,
-    rows: np.ndarray,
+    rows: np.ndarray | None,
     remaining: frozenset[int],
     config: ExtractionConfig,
     samples: Mapping[int, object] | None,
 ) -> None:
+    """Expand ``node``. ``rows`` are its parent's (``None``: every row); the
+    node narrows them by its rule only once it is known to be expanded."""
     if not remaining or node.depth >= config.max_rules:
         return
+    if node.rule is not None:
+        mask = rule_mask(table, node.rule, rows)
+        rows = np.flatnonzero(mask) if rows is None else rows[mask]
+    hit = np.flatnonzero(flags) if rows is None else rows[flags[rows]]  # for every feature
     pool: list[Candidate] = []
-    hit = rows[flags[rows]]  # the node's target rows, shared by every feature
     for f in sorted(remaining):
         sample = samples[f] if samples is not None else _NO_SAMPLE
         try:
@@ -507,16 +531,7 @@ def _add_rules(
             depth=node.depth + 1,
         )
         node.children.append(child)
-        # the child's rows live only while its subtree is searched
-        _add_rules(
-            table,
-            flags,
-            child,
-            rows[rule_mask(table, cand.rule, rows)],
-            remaining - {cand.rule.feature},
-            config,
-            samples,
-        )
+        _add_rules(table, flags, child, rows, remaining - {cand.rule.feature}, config, samples)
 
 
 def _collect_rule_sets(root: RuleTreeNode) -> list[RuleSet]:
@@ -556,11 +571,16 @@ def _ranked(root: RuleTreeNode) -> list[RuleSet]:
     return sorted(_dedupe(_collect_rule_sets(root)), key=_rank)
 
 
+def _target_of_length(target, n_rows: int) -> np.ndarray:
+    flags = target_flags(target)
+    if len(flags) != n_rows:
+        raise SchemaError("target indicator length does not match the table")
+    return flags
+
+
 def _search_inputs(table: DataTable, target, feature_set: Iterable[int], min_support: int):
     """A search's (target flags, feature set, target row count), input-checked."""
-    flags = target_flags(target)
-    if len(flags) != table.n_rows:
-        raise SchemaError("target indicator length does not match the table")
+    flags = _target_of_length(target, table.n_rows)
     features = frozenset(int(f) for f in feature_set)
     if not features:
         raise ConfigError("feature set must not be empty")
@@ -609,7 +629,7 @@ def build_rule_tree(
         ratio=None,
         depth=0,
     )
-    _add_rules(table, flags, root, np.arange(table.n_rows), features, config, samples)
+    _add_rules(table, flags, root, None, features, config, samples)
     return root
 
 

@@ -58,6 +58,10 @@ class FeatureColumn:
         return self.codes < 0
 
     @cached_property
+    def has_missing(self) -> bool:
+        return bool(self.missing_mask().any())  # one pass, on first use
+
+    @cached_property
     def _encoding(self) -> tuple[dict, np.ndarray]:
         # the one pass over a categorical column's values; built on first use
         if self.kind != CATEGORICAL:
@@ -86,17 +90,18 @@ class FeatureColumn:
         except TypeError:
             return -1
 
-    def equals_mask(self, token, rows=slice(None)) -> np.ndarray:
+    def equals_mask(self, token, rows=None) -> np.ndarray:
         """Which of ``rows`` (default: all rows) hold the category ``token``;
         missing rows never match."""
-        codes = self.codes[rows]
+        codes = self.codes if rows is None else self.codes[rows]
         k = self.code_of(token)
         return codes == k if k >= 0 else np.zeros(len(codes), dtype=bool)
 
-    def category_counts(self, mask: np.ndarray) -> list[int]:
-        """Rows under ``mask`` (boolean or row indices) per vocabulary entry;
-        missing rows are not counted."""
-        counts = np.bincount(self.codes[mask] + 1, minlength=len(self._encoding[0]) + 1)
+    def category_counts(self, mask: np.ndarray | None = None) -> list[int]:
+        """Rows under ``mask`` (boolean or row indices; default: all rows) per
+        vocabulary entry; missing rows are not counted."""
+        codes = self.codes if mask is None else self.codes[mask]
+        counts = np.bincount(codes + 1, minlength=len(self._encoding[0]) + 1)
         return counts[1:].tolist()
 
 

@@ -28,6 +28,7 @@ from regionrules.errors import (
     EmptyResultError,
     InfeasibleConfigError,
     NoTargetError,
+    SchemaError,
 )
 from regionrules.serialize import rule_set_to_dict
 
@@ -189,6 +190,56 @@ class TestGetCandidateRules:
             cfg(min_support=1, n_grids=2),
         )
         assert cands == []
+
+    def test_none_condition_is_every_row(self, grid_table):
+        table, target = grid_table
+        config = cfg(max_branches=3)
+        want = get_candidate_rules(table, target, 0, np.ones(20, bool), config)
+        assert get_candidate_rules(table, target, 0, None, config) == want
+        assert get_candidate_rules(table, target, 0, np.arange(20), config) == want
+
+    @pytest.mark.parametrize("length", [5, 12])
+    def test_wrong_length_mask_is_rejected(self, length):
+        # 5 used to search the first 5 rows only and find nothing; 12 ended
+        # in an IndexError
+        table, target = categorical_table()
+        with pytest.raises(SchemaError, match="condition mask length"):
+            get_candidate_rules(table, target, 0, np.ones(length, bool), cfg(min_support=1))
+
+    def test_short_target_is_rejected(self):
+        table, target = categorical_table()
+        with pytest.raises(SchemaError, match="target indicator length"):
+            get_candidate_rules(table, target.flags[:5], 0, None, cfg(min_support=1))
+
+    @pytest.mark.parametrize(
+        "rows", [np.r_[np.arange(20), np.arange(20)], np.arange(20)[::-1]],
+        ids=["repeated", "descending"],
+    )
+    def test_unordered_indices_are_rejected(self, grid_table, rows):
+        # repeated rows used to count twice: a support of 10 rows from 5
+        table, target = grid_table
+        with pytest.raises(ConfigError, match="strictly ascending"):
+            get_candidate_rules(table, target, 0, rows, cfg())
+
+    @pytest.mark.parametrize(
+        "rows",
+        [np.arange(20) + 0.9, np.arange(20).reshape(4, 5), np.array(True)],
+        ids=["float", "2-d", "0-d"],
+    )
+    def test_indices_that_are_not_integer_rows_are_rejected(self, grid_table, rows):
+        # float indices used to be truncated; a 2-d array ended in a
+        # ValueError, a 0-d one in a TypeError
+        table, target = grid_table
+        with pytest.raises(ConfigError, match="integer row indices"):
+            get_candidate_rules(table, target, 0, rows, cfg())
+
+    @pytest.mark.parametrize("bad", [-1, 20])
+    def test_out_of_range_indices_are_rejected(self, grid_table, bad):
+        # -1 used to read the last row; 20 ended in an IndexError
+        table, target = grid_table
+        rows = np.sort(np.r_[bad, 3, 5, 7, 9])
+        with pytest.raises(ConfigError, match="out of range for 20 rows"):
+            get_candidate_rules(table, target, 0, rows, cfg(min_support=1))
 
 
 class TestExtractRuleSets:
