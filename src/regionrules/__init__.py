@@ -15,7 +15,6 @@ from .attribution import (
     load_importance_matrix,
     scan_threshold,
     select_frequent_features,
-    to_feature_sequences,
 )
 from .binning import GridHistogram, grid_counts, make_grids, merge_grids
 from .extraction import (
@@ -61,7 +60,6 @@ __all__ = [
     "load_importance_matrix",
     "scan_threshold",
     "select_frequent_features",
-    "to_feature_sequences",
     "GridHistogram",
     "grid_counts",
     "make_grids",

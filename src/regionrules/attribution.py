@@ -235,19 +235,6 @@ def scan_threshold(matrix: ImportanceMatrix, gamma: float = DEFAULT_COVERAGE) ->
     raise NoFeatureError("no feature clears the frequency requirement at any threshold")
 
 
-def to_feature_sequences(matrix: ImportanceMatrix, j_th: float) -> list[frozenset[int]]:
-    """Per row, the set of feature indices scoring >= j_th; empty sets are dropped."""
-    if j_th < 0:
-        raise ConfigError(f"j_th must be >= 0, got {j_th}")
-    hits = matrix.scores >= j_th
-    out = []
-    for row in hits:
-        idx = np.nonzero(row)[0]
-        if len(idx):
-            out.append(frozenset(int(i) for i in idx))
-    return out
-
-
 def select_features(
     matrix: ImportanceMatrix,
     gamma: float = DEFAULT_COVERAGE,

@@ -52,10 +52,9 @@ from .errors import (
 )
 from .extraction import (
     ExtractionConfig,
-    count_ratios,
+    _ranked,
+    build_rule_tree,
     extract_local,
-    extract_rule_sets,
-    numeric_histogram,
     select_best,
 )
 from .serialize import rule_set_to_dict, rules_from_dict
@@ -239,26 +238,22 @@ def _extraction_config(args: argparse.Namespace) -> ExtractionConfig:
     return ExtractionConfig(**{k: v for k, v in knobs.items() if v is not None})
 
 
-def _root_histograms(table, target, feature_indices, config) -> list[dict]:
-    """Unconditioned histograms of the search, for external plotting; ratios
-    are the exact ratios rounded once to float."""
-    hit = np.flatnonzero(target.flags)
+def _root_histograms(table, feature_indices, root) -> list[dict]:
+    """The histograms the search built at ``root``, for external plotting;
+    ratios are the exact ratios rounded once to float."""
     out = []
     for f in feature_indices:
         col = table.column(f)
         entry: dict = {"feature": col.name}
-        try:
-            if col.kind == NUMERIC:
-                hist = numeric_histogram(col, hit, None, config, f)[0]
-                tc, nc = list(hist.target_counts), list(hist.total_counts)
-                entry["edges"] = [float(e) for e in hist.edges]
-            else:
-                tc, nc = col.category_counts(hit), col.category_counts()
-                entry["categories"] = col.vocabulary
-            ratios = count_ratios(tc, nc, table.n_rows, target.count)
-            entry.update(target_counts=tc, total_counts=nc, ratios=list(map(float, ratios)))
-        except DegenerateFeatureError as exc:
-            entry["skipped"] = str(exc)
+        hist = root.histograms[f]
+        if isinstance(hist, str):
+            entry["skipped"] = hist
+        else:
+            bins, tc, nc, ratios = hist
+            entry["edges" if col.kind == NUMERIC else "categories"] = list(bins)
+            entry.update(
+                target_counts=list(tc), total_counts=list(nc), ratios=list(map(float, ratios))
+            )
         out.append(entry)
     return out
 
@@ -321,7 +316,8 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     config = _extraction_config(args)
 
     log.info("target subgroup: %d of %d rows", target.count, features.n_rows)
-    candidates = extract_rule_sets(features, target, feature_indices, config)
+    root = build_rule_tree(features, target, feature_indices, config)
+    candidates = _ranked(root)
     log.info("search returned %d candidate rule sets", len(candidates))
     best = select_best(candidates, config.min_confidence) if candidates else None
     payload = {
@@ -334,7 +330,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
         "features": [features.column(i).name for i in feature_indices],
         "candidates": [rule_set_to_dict(features, rs) for rs in candidates],
         "best": rule_set_to_dict(features, best) if best else None,
-        "histograms": _root_histograms(features, target, feature_indices, config),
+        "histograms": _root_histograms(features, feature_indices, root),
     }
     if not candidates:
         reason = "no candidate rule reached ratio > 1 at the support floor"

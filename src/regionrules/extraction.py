@@ -365,7 +365,7 @@ def _numeric_candidates(
     rows: np.ndarray,
     config: ExtractionConfig,
     sample_value=_NO_SAMPLE,
-) -> list[Candidate]:
+) -> tuple[list[Candidate], tuple]:
     col = table.column(feature)
     merged, s, st = numeric_histogram(col, target_rows, rows, config, feature)
     ratios = grid_ratios(merged)
@@ -397,7 +397,7 @@ def _numeric_candidates(
         cand = _screen_interval(feature, s, st, merged, res, config.min_support)
         if cand is not None:
             out.append(cand)
-    return out
+    return out, (merged.edges, merged.target_counts, merged.total_counts, ratios)
 
 
 def _categorical_candidates(
@@ -407,7 +407,7 @@ def _categorical_candidates(
     rows: np.ndarray,
     config: ExtractionConfig,
     sample_value=_NO_SAMPLE,
-) -> list[Candidate]:
+) -> tuple[list[Candidate], tuple]:
     col = table.column(feature)
     tc, nc = col.category_counts(target_rows), col.category_counts(rows)
     n = table.n_rows if rows is None else len(rows)
@@ -427,7 +427,7 @@ def _categorical_candidates(
         )
         for k in codes
         if nc[k] >= config.min_support and ratios[k] > 1
-    ]
+    ], (vocab, tc, nc, ratios)
 
 
 def get_candidate_rules(
@@ -439,6 +439,7 @@ def get_candidate_rules(
     sample_value=_NO_SAMPLE,
     *,
     target_rows: np.ndarray | None = None,
+    histograms: dict | None = None,
 ) -> list[Candidate]:
     """Up to ``max_branches`` screened rules for one feature, best ratio first.
 
@@ -451,7 +452,9 @@ def get_candidate_rules(
     satisfying the rules so far: ``None`` for every row, a boolean row mask,
     or strictly ascending row indices. ``target_rows`` are the target rows
     among them; when they are not given, they are selected here and index
-    conditions are checked to ascend.
+    conditions are checked to ascend. ``histograms``, when given, receives
+    under the feature's column index its histogram over the condition's rows:
+    ``(edges or vocabulary, target_counts, total_counts, exact ratios)``.
     """
     n = table.n_rows
     flags = _target_of_length(target, n)
@@ -475,7 +478,9 @@ def get_candidate_rules(
     col = table.column(feature)
     feature_idx = table.column_index(col.name)
     build = _numeric_candidates if col.kind == NUMERIC else _categorical_candidates
-    out = build(table, target_rows, feature_idx, rows, config, sample_value)
+    out, hist = build(table, target_rows, feature_idx, rows, config, sample_value)
+    if histograms is not None:
+        histograms[feature_idx] = hist
     out.sort(key=Candidate._order_key)
     return out[: config.max_branches]
 
@@ -486,7 +491,12 @@ def get_candidate_rules(
 
 @dataclass(eq=False)
 class RuleTreeNode:
-    """One step of the search: the rule taken and the exact counts of its path."""
+    """One step of the search: the rule taken and the exact counts of its path.
+
+    An expanded node keeps, per searched feature, the histogram that
+    :func:`get_candidate_rules` built over its rows, or the message of the
+    feature's :class:`DegenerateFeatureError`.
+    """
 
     rule: Rule | None
     support: int
@@ -494,6 +504,7 @@ class RuleTreeNode:
     ratio: Fraction | None
     depth: int
     children: list["RuleTreeNode"] = field(default_factory=list)
+    histograms: dict[int, tuple | str] = field(default_factory=dict)
 
 
 def _add_rules(
@@ -517,9 +528,12 @@ def _add_rules(
     for f in sorted(remaining):
         sample = samples[f] if samples is not None else _NO_SAMPLE
         try:
-            cands = get_candidate_rules(table, flags, f, rows, config, sample, target_rows=hit)
-        except DegenerateFeatureError:
-            continue  # constant within this branch: nothing to split on
+            cands = get_candidate_rules(
+                table, flags, f, rows, config, sample, target_rows=hit, histograms=node.histograms
+            )
+        except DegenerateFeatureError as exc:
+            node.histograms[f] = str(exc)  # constant within this branch: nothing to split on
+            continue
         pool.extend(cands)
     pool.sort(key=Candidate._order_key)
     for cand in pool[: config.max_branches]:

@@ -140,6 +140,13 @@ def ref_fp_growth(transactions, c_min: int, k_max: int) -> list[FrequentItemset]
     return out
 
 
+def hit_transactions(matrix: ImportanceMatrix, j_th: float) -> list[frozenset[int]]:
+    """Per matrix row, the features scoring >= ``j_th``; rows with none are
+    dropped."""
+    hits = matrix.scores >= j_th
+    return [frozenset(np.flatnonzero(row).tolist()) for row in hits if row.any()]
+
+
 def ref_brute_force_best(table, target, n_g, l_max, s_min, strategy="uniform", seed=0):
     """The exhaustive oracle as it was before it shared the search's parts:
     full-table interval masks of its own, and a rank key of fitness, then

@@ -12,7 +12,6 @@ from regionrules import (
     load_importance_matrix,
     scan_threshold,
     select_frequent_features,
-    to_feature_sequences,
 )
 from regionrules.attribution import balanced_sample, class_centroids
 from regionrules.errors import (
@@ -161,34 +160,6 @@ class TestScanThreshold:
             gamma = rng.uniform(0.3, 1.0)
             quals = [qual_count(scores, t, gamma) for t in np.unique(scores)]
             assert all(a >= b for a, b in zip(quals, quals[1:]))
-
-
-class TestToFeatureSequences:
-    def test_worked_example(self):
-        m = ImportanceMatrix(scores=WORKED_SCORES)
-        assert to_feature_sequences(m, 0.3) == [
-            frozenset({0}),
-            frozenset({0, 1}),
-            frozenset({0, 1}),
-        ]
-
-    def test_threshold_above_max_drops_everything(self):
-        m = ImportanceMatrix(scores=WORKED_SCORES)
-        assert to_feature_sequences(m, 0.8) == []
-
-    def test_zero_threshold_keeps_all_features(self):
-        m = ImportanceMatrix(scores=WORKED_SCORES)
-        assert to_feature_sequences(m, 0.0) == [frozenset({0, 1, 2})] * 3
-
-    def test_sets_shrink_as_threshold_grows(self):
-        rng = np.random.default_rng(5)
-        m = ImportanceMatrix(scores=rng.random((10, 4)))
-        per_row = lambda t: [frozenset(np.nonzero(row >= t)[0]) for row in m.scores]
-        lo, hi = per_row(0.2), per_row(0.6)
-        assert all(h <= l for h, l in zip(hi, lo))
-        # the transform keeps exactly the non-empty sets, in row order
-        assert to_feature_sequences(m, 0.6) == [s for s in hi if s]
-        assert to_feature_sequences(m, 0.2) == [s for s in lo if s]
 
 
 class TestSelectFrequentFeatures:

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from regionrules import extraction
 from regionrules.cli import main
 
 from helpers import fixture_table
@@ -311,6 +312,52 @@ class TestExtract:
         assert code == 0
         payload = json.loads(out.read_text())
         assert all(len(c["rules"]) == 1 for c in payload["candidates"])
+
+    def test_each_searched_feature_is_binned_once(self, monkeypatch, tmp_path, capsys):
+        # with one rule per set only the root is expanded, and its histograms
+        # are the ones extract prints: one sort-and-bin per numeric feature
+        calls = []
+        sort_and_make_grids = extraction.sort_and_make_grids
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return sort_and_make_grids(*args, **kwargs)
+
+        monkeypatch.setattr(extraction, "sort_and_make_grids", counted)
+        out = tmp_path / "rules.json"
+        code, _, _ = run(
+            capsys, "extract", "--data", FIXTURES / "two_mode.csv",
+            "--target-column", "label", "--features", "f0,f1",
+            "--min-support", "150", "--max-rules", "1", "--n-grids", "10",
+            "--out", out,
+        )
+        assert code == 0
+        assert [h["feature"] for h in json.loads(out.read_text())["histograms"]] == ["f0", "f1"]
+        assert len(calls) == 2
+
+    def test_constant_feature_is_listed_as_skipped(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_text("x,k,label\n" + "".join(
+            f"{i / 60!r},5.0,{int(20 <= i < 35)}\n" for i in range(60)
+        ))
+
+        def extract(features):
+            out = tmp_path / f"{features}.json"
+            code, _, _ = run(
+                capsys, "extract", "--data", data, "--target-column", "label",
+                "--features", features, "--min-support", "5", "--max-rules", "2",
+                "--n-grids", "4", "--out", out,
+            )
+            assert code == 0
+            return json.loads(out.read_text())
+
+        with_constant, without = extract("k,x"), extract("x")
+        assert with_constant["histograms"][0] == {
+            "feature": "k", "skipped": "need at least 2 distinct values to bin, got 1",
+        }
+        assert with_constant["histograms"][1:] == without["histograms"]
+        assert without["histograms"][0]["feature"] == "x"
+        assert with_constant["candidates"] == without["candidates"]
 
 
 class TestExplain:

@@ -18,12 +18,11 @@ from regionrules import (
     pick_feature_set,
     scan_threshold,
     select_frequent_features,
-    to_feature_sequences,
 )
 from regionrules.attribution import select_features
 from regionrules.errors import ConfigError, RegionRulesError
 
-from helpers import ref_fp_growth, ref_scan_threshold
+from helpers import hit_transactions, ref_fp_growth, ref_scan_threshold
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -67,7 +66,7 @@ def test_pipeline_equals_the_chained_steps():
     matrix = load_importance_matrix(FIXTURES / "importance.csv")
     c_min = max(1, round(0.1 * matrix.n_rows))
     j_th = scan_threshold(matrix)
-    itemsets = fp_growth(to_feature_sequences(matrix, j_th), c_min, matrix.n_features)
+    itemsets = fp_growth(hit_transactions(matrix, j_th), c_min, matrix.n_features)
     chosen = pick_feature_set(itemsets)
     assert select_features(matrix, c_min=c_min) == (j_th, itemsets, chosen)
     assert select_frequent_features(matrix, c_min=c_min) == chosen
@@ -87,7 +86,7 @@ def test_mining_the_hits_equals_the_fp_tree_over_row_sequences():
             with pytest.raises(type(exc)):
                 select_features(matrix, gamma, c_min, k_max)
             continue
-        itemsets = ref_fp_growth(to_feature_sequences(matrix, j_th), c_min, k_max)
+        itemsets = ref_fp_growth(hit_transactions(matrix, j_th), c_min, k_max)
         try:
             want = (j_th, itemsets, pick_feature_set(itemsets))
         except RegionRulesError as exc:
