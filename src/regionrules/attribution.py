@@ -183,26 +183,26 @@ def build_importance_matrix(
 
 def load_importance_matrix(path) -> ImportanceMatrix:
     """Read an importance matrix CSV whose header names the features."""
-    header, read = read_csv(path, "importance matrix file is empty")
-    width = len(header)
-    blocks = [np.empty((0, width))]
-    for rows, cells in read(range(width)):
-        try:
-            block = np.fromiter(map(float, cells), np.float64, len(cells))
-        except ValueError:
-            for i, k in zip(rows, range(0, len(cells), width)):  # the first bad row
-                try:
-                    list(map(float, cells[k : k + width]))
-                except ValueError:
-                    raise ParseError(f"unparseable number in row {i}", row=i) from None
-        blocks.append(block.reshape(len(rows), width))
+    with read_csv(path, "importance matrix file is empty") as (header, read):
+        width = len(header)
+        blocks = [np.empty((0, width))]
+        for rows, cells in read(range(width)):
+            try:
+                block = np.fromiter(map(float, cells), np.float64, len(cells))
+            except ValueError:
+                for i, k in zip(rows, range(0, len(cells), width)):  # the first bad row
+                    try:
+                        list(map(float, cells[k : k + width]))
+                    except ValueError:
+                        raise ParseError(f"unparseable number in row {i}", row=i) from None
+            blocks.append(block.reshape(len(rows), width))
     return ImportanceMatrix(scores=np.concatenate(blocks), feature_names=tuple(header))
 
 
 def _required_rows(gamma: float, n_rows: int) -> int:
     """ceil(gamma * n_rows), with ``gamma`` read as the decimal it prints as."""
     if not 0.0 < gamma <= 1.0:
-        raise ConfigError(f"gamma must be in (0, 1], got {gamma}")
+        raise ConfigError(f"gamma must be in (0, 1], got {float(gamma)}")
     return math.ceil(Fraction(str(gamma)) * n_rows)
 
 

@@ -18,6 +18,7 @@ import os
 import sys
 from collections import defaultdict
 from dataclasses import asdict, fields
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -123,6 +124,12 @@ def _load_config_file(path: str) -> dict:
         key, value = line.split("=", 1)
         out[key.strip().replace("-", "_")] = value.strip()
     return out
+
+
+def _decimal(text: str) -> Fraction:
+    """An option's number as the decimal its float prints as, so "0.1" is
+    exactly 1/10 and no binary float reaches the library."""
+    return Fraction(str(float(text)))
 
 
 def _required(args: argparse.Namespace, key: str):
@@ -321,7 +328,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     log.info("search returned %d candidate rule sets", len(candidates))
     best = select_best(candidates, config.min_confidence) if candidates else None
     payload = {
-        "config": asdict(config),
+        "config": {**asdict(config), "min_confidence": float(config.min_confidence)},
         "target": {
             "label": target.target_label,
             "count": target.count,
@@ -522,7 +529,7 @@ def _add_extraction_options(p: argparse.ArgumentParser) -> None:
                    help="JSON from select-features ({'features': [...]})")
     _add_search_options(p)
     p.add_argument("--max-branches", dest="max_branches", type=int)
-    p.add_argument("--min-confidence", dest="min_confidence", type=float)
+    p.add_argument("--min-confidence", dest="min_confidence", type=_decimal)
 
 
 def build_parser() -> _Parser:
@@ -545,7 +552,7 @@ def build_parser() -> _Parser:
                    default=attribution.DEFAULT_IG_STEPS)
     p.add_argument("--shift-eps", dest="shift_eps", type=float,
                    default=attribution.DEFAULT_SHIFT_EPS)
-    p.add_argument("--coverage", type=float, default=attribution.DEFAULT_COVERAGE,
+    p.add_argument("--coverage", type=_decimal, default=str(attribution.DEFAULT_COVERAGE),
                    help="row share the most frequent feature must keep (default 0.99)")
     p.add_argument("--min-count", dest="min_count", type=int,
                    help="itemset frequency floor (default 10%% of matrix rows)")

@@ -137,7 +137,7 @@ class ExtractionConfig:
             raise ConfigError(f"unknown binning strategy {self.strategy!r}")
         if not 0.0 <= self.min_confidence <= 1.0:
             raise ConfigError(
-                f"min_confidence must be in [0, 1], got {self.min_confidence}"
+                f"min_confidence must be in [0, 1], got {float(self.min_confidence)}"
             )
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-import mmap
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain, islice, repeat
@@ -25,6 +25,7 @@ from .errors import (
     DomainError,
     ParseError,
     RangeError,
+    RegionRulesError,
     SchemaError,
 )
 
@@ -197,53 +198,140 @@ def target_flags(target) -> np.ndarray:
 
 
 _CHUNK_ROWS = 2048  # rows whose cell strings are alive at once
+_WINDOW = 1 << 20  # bytes read at a time; only a longer line grows the buffer
 
 
+@contextmanager
 def read_csv(path, empty_message: str):
-    """Header and reader of a comma-separated UTF-8 file. ``read(js)``, called
-    once with increasing column indices, yields ``(rows, cells)`` chunks:
-    ``rows`` is the range of their 0-based data rows, ``cells`` the strings of
-    their ``js`` cells in row order (column ``js[k]`` is ``cells[k::len(js)]``).
-    A row of the wrong width raises ParseError once the rows before it have
-    been yielded; so do undecodable bytes and malformed quoting. A regular
-    file is mapped, not read, so it must not shrink while it is read."""
+    """Header and reader of a comma-separated UTF-8 file, as a context
+    manager. ``read(js)``, called once with increasing column indices, yields
+    ``(rows, cells)`` chunks: ``rows`` is the range of their 0-based data
+    rows, ``cells`` the strings of their ``js`` cells in row order (column
+    ``js[k]`` is ``cells[k::len(js)]``). The file is read whole lines at a
+    time through one reused buffer of about ``_WINDOW`` bytes, so neither it
+    nor its text is ever held whole; a pipe reads like a file. A row of the
+    wrong width raises ParseError once the rows before it have been yielded;
+    so do malformed quoting and undecodable bytes. An error raised in the
+    block leaves it only once the rest of the file has been checked as
+    UTF-8: the first undecodable byte in the file beats every other error."""
     with open(path, "rb") as fh:
-        try:  # mapped, a file leaves no freed file-sized buffer on the heap
-            data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-        except (OSError, ValueError):  # pipes and FIFOs, empty files
-            data = fh.read()
-    buf = np.frombuffer(data, np.uint8)
-    if len(buf) and buf.max() >= 128:
+        windows = _windows(fh, path)
         try:
-            str(data, "utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{path} is not UTF-8: {exc.reason} at byte {exc.start}") from None
-    start = 3 if data[:3] == b"\xef\xbb\xbf" else 0  # only now: offsets count the BOM
-    buf = buf[start:]
-    # newline positions, 64 KiB at a time: a file-sized mask raised peak memory
-    ends = np.concatenate([np.empty(0, np.intp)] + [
-        np.flatnonzero(buf[i : i + 65536] == ord("\n")) + i for i in range(0, len(buf), 65536)])
-    if not (len(buf) and buf[-1] == ord("\n")):
-        ends = np.append(ends, len(buf))  # a last line end
-    lengths = np.diff(ends, prepend=-1) - 1
-    # csv.reader splits a line on "," alone unless it is blank, longer than
-    # the field size limit or holds a quote, CR or NUL; a line's length in
-    # bytes is never below its length in characters
-    if 0 < lengths.min() and lengths.max() <= csv.field_size_limit():
-        if all(data.find(c, start) < 0 for c in (b'"', b"\r", b"\0")):
-            header = buf[: ends[0]].tobytes().decode().split(",")
-            return header, partial(_split_cells, buf, ends, len(header))
-    rows = _csv_rows(buf.tobytes().decode(), path)
-    if (header := next(rows, [None])[0]) is None:
-        raise ParseError(empty_message)
-    return header, partial(_csv_cells, rows, len(header))
+            pieces = _pieces(windows, path)
+            if (first := next(pieces, None)) is None:
+                raise ParseError(empty_message)
+            if isinstance(first, list):  # csv.reader's first list, the header row alone
+                header = first[0]
+            else:
+                buf, ends = first
+                header = buf[: ends[1]].tobytes().decode().split(",")
+                pieces = chain([(buf, ends[1:])], pieces)
+            yield header, partial(_cells, pieces, len(header))
+        except RegionRulesError:
+            for _ in windows:  # raises at an undecodable byte
+                pass
+            raise
 
 
-def _split_cells(buf: np.ndarray, ends: np.ndarray, width: int, js):
-    """read(js) of a file without quotes, CR, NUL or blank lines whose line
-    ends, the header's first, are ``ends``. Commas and newlines never occur
-    inside a multi-byte UTF-8 sequence, so cells are cut at byte offsets and
-    only the ``js`` cells become strings."""
+def _windows(fh, path):
+    """``fh`` in windows of whole lines, about ``_WINDOW`` bytes each, as
+    ``(buf, lo, hi)``: ``buf[lo:hi]`` holds them until the next window is
+    drawn. The bytes are read into one reused buffer, which grows only for a
+    line longer than itself. Every window is checked as UTF-8, and the first
+    skips a BOM. A window ends after an LF, after a CR that no LF follows,
+    or at the end of the file, so no line end or character straddles two."""
+    buf, kept, pos = bytearray(_WINDOW), 0, 0  # buf[:kept]: a partial line carried over
+    while True:
+        if kept == len(buf):  # a new object: views of the old one may be alive
+            buf = buf + bytes(len(buf))
+        n = fh.readinto(memoryview(buf)[kept:])
+        end = kept + n
+        cut = end  # the end of the file, else after the last LF, else after a CR
+        if n:
+            cut = buf.rfind(b"\n", kept, end) + 1 or buf.rfind(b"\r", 0, end - 1) + 1
+        if cut:
+            lo = 3 if pos == 0 and buf.startswith(b"\xef\xbb\xbf", 0, cut) else 0
+            if np.frombuffer(buf, np.uint8, cut - lo, lo).max(initial=0) >= 128:
+                try:
+                    str(memoryview(buf)[lo:cut], "utf-8")
+                except UnicodeDecodeError as exc:  # offsets count the BOM
+                    at = pos + lo + exc.start
+                    raise ParseError(f"{path} is not UTF-8: {exc.reason} at byte {at}") from None
+            if cut > lo:
+                yield buf, lo, cut
+            pos += cut
+        if not n:
+            return
+        kept = end - cut
+        buf[:kept] = buf[cut:end]
+
+
+def _pieces(windows, path):
+    """The lines of ``windows`` in file order. First ``(buf, ends)`` runs of
+    lines that csv.reader splits at "," alone: the uint8 array ``buf`` holds
+    them, and they end at ``ends[1:]`` (``ends[0]`` ends the line before
+    them). From the first line that csv.reader may split otherwise (it is
+    blank, longer than the field size limit or holds a quote, CR or NUL) to
+    the end, lists of csv.reader rows, the first of them one row long. A
+    line's length in bytes is never below its length in characters."""
+    limit = csv.field_size_limit()
+    line = 0  # lines before this window
+    for raw, lo, hi in windows:
+        buf = np.frombuffer(raw, np.uint8, hi - lo, lo)
+        # newline positions, 64 KiB at a time: a window-sized mask is slower
+        ends = [[-1]] + [np.flatnonzero(buf[i : i + 65536] == ord("\n")) + i
+                         for i in range(0, len(buf), 65536)]
+        if buf[-1] != ord("\n"):  # the last line of the file
+            ends.append([len(buf)])
+        ends = np.concatenate(ends)
+        lengths = np.diff(ends) - 1
+        odd = [*np.flatnonzero((lengths == 0) | (lengths > limit))[:1]]
+        for c in b'"\r\0':
+            if (at := raw.find(c, lo, hi)) >= 0:
+                odd.append(np.searchsorted(ends, at - lo) - 1)  # the line holding it
+        stop = int(min(odd, default=len(lengths)))
+        if stop:
+            yield buf, ends[: stop + 1]
+        if stop < len(lengths):
+            rest = chain([(raw, lo + ends[stop] + 1, hi)], windows)
+            yield from _csv_rows(rest, line + stop, path)
+            return
+        line += stop
+
+
+def _csv_rows(windows, line: int, path):
+    """Lists of csv.reader rows of ``windows``, the first list one row long;
+    ``line`` lines of the file come before them. Lines are split as
+    ``io.StringIO(newline="")`` splits them, one window at a time."""
+    texts = (str(memoryview(raw)[lo:hi], "utf-8") for raw, lo, hi in windows)
+    reader = csv.reader(s for text in texts for s in io.StringIO(text, newline=""))
+    try:
+        for n in chain([1], repeat(_CHUNK_ROWS)):
+            if not (rows := list(islice(reader, n))):
+                return
+            yield rows
+    except csv.Error as exc:
+        at = line + reader.line_num
+        raise ParseError(f"{path}: malformed CSV at line {at}: {exc}") from None
+
+
+def _cells(pieces, width: int, js):
+    """read(js) of the ``pieces`` of :func:`_pieces`."""
+    row = 0
+    for piece in pieces:
+        if isinstance(piece, list):
+            yield from _csv_cells(piece, width, js, row)
+            row += len(piece)
+        else:
+            yield from _split_cells(*piece, width, js, row)
+            row += len(piece[1]) - 1
+
+
+def _split_cells(buf: np.ndarray, ends: np.ndarray, width: int, js, row: int):
+    """read(js) of the lines of ``buf`` that end at ``ends[1:]``, the first
+    of them data row ``row``; none has a quote, CR or NUL or is blank.
+    Commas and newlines never occur inside a multi-byte UTF-8 sequence, so
+    cells are cut at byte offsets and only the ``js`` cells become strings."""
     comma = np.uint8(ord(","))
     is_read = np.isin(np.arange(width), js)
     for start in range(0, len(ends) - 1, _CHUNK_ROWS):
@@ -261,35 +349,20 @@ def _split_cells(buf: np.ndarray, ends: np.ndarray, width: int, js):
             picked = picked[np.repeat(np.tile(is_read, n), sizes)]
         cells = picked.tobytes().decode().split(",")
         cells.pop()
+        i = row + start
         if n:
-            yield range(start, start + n), cells
+            yield range(i, i + n), cells
         if n < len(widths):
-            i = start + n
-            raise ParseError(f"row {i} has {widths[n]} cells, expected {width}", row=i)
+            raise ParseError(f"row {i + n} has {widths[n]} cells, expected {width}", row=i + n)
 
 
-def _csv_rows(text: str, path):
-    """Lists of rows of ``text``: the header row alone, then chunks."""
-    reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        for n in chain([1], repeat(_CHUNK_ROWS)):
-            if not (rows := list(islice(reader, n))):
-                return
-            yield rows
-    except csv.Error as exc:
-        raise ParseError(f"{path}: malformed CSV at line {reader.line_num}: {exc}") from None
-
-
-def _csv_cells(chunks, width: int, js):
-    """read(js) of a file that csv.reader splits."""
-    start = 0
-    for rows in chunks:
-        n = next((i for i, row in enumerate(rows) if len(row) != width), len(rows))
-        if n:
-            yield range(start, start + n), [row[j] for row in rows[:n] for j in js]
-        start += n
-        if n < len(rows):
-            raise ParseError(f"row {start} has {len(rows[n])} cells, expected {width}", row=start)
+def _csv_cells(rows: list, width: int, js, row: int):
+    """read(js) of csv.reader ``rows``, the first of them data row ``row``."""
+    n = next((i for i, r in enumerate(rows) if len(r) != width), len(rows))
+    if n:
+        yield range(row, row + n), [r[j] for r in rows[:n] for j in js]
+    if n < len(rows):
+        raise ParseError(f"row {row + n} has {len(rows[n])} cells, expected {width}", row=row + n)
 
 
 def _numeric_cells(cells: list[str], rows: range, missing: str, name: str) -> np.ndarray:
@@ -326,42 +399,42 @@ def load_csv(
     ``missing_token`` become missing markers. Of the bad cells, the first one
     in the leftmost bad column is reported.
     """
-    header, read = read_csv(path, "file is empty (no header row)")
-    index = {name: j for j, name in enumerate(header)}
-    if len(index) != len(header):
-        dupes = sorted({h for h in header if header.count(h) > 1})
-        raise SchemaError(f"duplicate header names {dupes}")
-    for name in header:
-        try:
-            kind = schema[name]
-        except KeyError:
-            raise SchemaError(f"schema does not cover column {name!r}") from None
-        if kind not in KINDS:
-            raise SchemaError(f"unknown kind {kind!r} for column {name!r}")
-    wanted = header if columns is None else list(columns)
-    if unknown := [name for name in wanted if name not in index]:
-        raise SchemaError(f"unknown column {unknown[0]!r}")
-    parts: dict[int, list[np.ndarray]] = {j: [] for j in sorted(map(index.get, wanted))}
-    bad = []  # (column, row, ParseError), raised once every row's width is checked
-    for rows, cells in read(list(parts)):
-        for k, (j, part) in enumerate(parts.items()):
-            name, column = header[j], cells[k :: len(parts)]
-            if schema[name] == CATEGORICAL:
-                column = [None if c == missing_token else c for c in column]
-                part.append(np.array(column, dtype=object))
-                continue
+    with read_csv(path, "file is empty (no header row)") as (header, read):
+        index = {name: j for j, name in enumerate(header)}
+        if len(index) != len(header):
+            dupes = sorted({h for h in header if header.count(h) > 1})
+            raise SchemaError(f"duplicate header names {dupes}")
+        for name in header:
             try:
-                part.append(_numeric_cells(column, rows, missing_token, name))
-            except ParseError as exc:
-                bad.append((j, exc.row, exc))
-    if bad:
-        raise min(bad, key=lambda b: b[:2])[2]
-    return DataTable(
-        tuple(
-            FeatureColumn(header[j], schema[header[j]], np.concatenate(p) if p else [])
-            for j, p in parts.items()
-        )
-    )
+                kind = schema[name]
+            except KeyError:
+                raise SchemaError(f"schema does not cover column {name!r}") from None
+            if kind not in KINDS:
+                raise SchemaError(f"unknown kind {kind!r} for column {name!r}")
+        wanted = header if columns is None else list(columns)
+        if unknown := [name for name in wanted if name not in index]:
+            raise SchemaError(f"unknown column {unknown[0]!r}")
+        parts: dict[int, list[np.ndarray]] = {j: [] for j in sorted(map(index.get, wanted))}
+        bad = []  # (column, row, ParseError), raised once every row's width is checked
+        for rows, cells in read(list(parts)):
+            for k, (j, part) in enumerate(parts.items()):
+                name, column = header[j], cells[k :: len(parts)]
+                if schema[name] == CATEGORICAL:
+                    column = [None if c == missing_token else c for c in column]
+                    part.append(np.array(column, dtype=object))
+                    continue
+                try:
+                    part.append(_numeric_cells(column, rows, missing_token, name))
+                except ParseError as exc:
+                    bad.append((j, exc.row, exc))
+        if bad:
+            raise min(bad, key=lambda b: b[:2])[2]
+    built = []
+    for j in list(parts):  # a column's chunks are freed once they are joined
+        part = parts.pop(j)
+        values = np.concatenate(part) if part else []
+        built.append(FeatureColumn(header[j], schema[header[j]], values))
+    return DataTable(tuple(built))
 
 
 def make_target(

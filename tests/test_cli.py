@@ -1,10 +1,11 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from regionrules import extraction
+from regionrules import cli, extraction
 from regionrules.cli import main
 
 from helpers import fixture_table
@@ -891,3 +892,41 @@ class TestColumnProjection:
         )
         assert (code, out) == (2, "")
         assert json.loads(err) == {"error": "SchemaError", "message": "unknown column 'nope'"}
+
+
+class TestDecimalKnobs:
+    """--coverage and --min-confidence reach the library as exact decimals."""
+
+    def test_coverage_of_a_tenth_of_ten_rows_is_one_row(self, tmp_path, capsys, monkeypatch):
+        m = tmp_path / "imp.csv"  # a covers one row, b two; Fraction(0.1) * 10 > 1 would need two
+        m.write_text("a,b\n0.9,0.5\n0,0.4\n" + "0,0\n" * 8)
+        seen = []
+        select = cli.select_features
+        monkeypatch.setattr(cli, "select_features",
+                            lambda m, g, *a: seen.append(g) or select(m, g, *a))
+        code, out, _ = run(capsys, "select-features", "--matrix", m, "--coverage", "0.1",
+                           "--min-count", "1")
+        assert code == 0
+        assert seen == [Fraction(1, 10)] and type(seen[0]) is Fraction
+        assert json.loads(out)["j_th"] == 0.9  # two rows would give 0.4
+
+    def test_min_confidence_admits_a_set_of_exactly_that_confidence(self, tmp_path, capsys,
+                                                                    monkeypatch):
+        data = tmp_path / "d.csv"  # a: 26 of 40 rows (fitness 12/40), b: 7 of 10 (4/40)
+        rows = [("a", 1)] * 26 + [("a", 0)] * 14 + [("b", 1)] * 7 + [("b", 0)] * 3 \
+            + [("c", 1)] * 7 + [("c", 0)] * 43
+        data.write_text("g,label\n" + "".join(f"{g},{t}\n" for g, t in rows))
+        seen = []
+        select = cli.select_best
+        monkeypatch.setattr(cli, "select_best",
+                            lambda c, floor: seen.append(floor) or select(c, floor))
+        out = tmp_path / "rules.json"
+        code, _, _ = run(capsys, "extract", "--data", data, "--schema", "g:categorical",
+                         "--target-column", "label", "--min-support", "5", "--max-rules", "1",
+                         "--min-confidence", "0.7", "--out", out)
+        assert code == 0
+        assert seen == [Fraction(7, 10)] and type(seen[0]) is Fraction
+        payload = json.loads(out.read_text())
+        assert [c["rules"][0]["value"] for c in payload["candidates"]] == ["a", "b"]
+        assert payload["best"]["rules"][0]["value"] == "b"
+        assert payload["config"]["min_confidence"] == 0.7

@@ -4,9 +4,12 @@
 the same categorical values and the same errors (type, message, ``row``,
 ``column``) as ``helpers.ref_load_csv`` / ``ref_load_importance_matrix`` on
 any text: quoted fields, every line ending, BOM, blank lines, odd numbers and
-bad cells on either side of a chunk boundary. ``load_csv(..., columns=S)``
-must match the reference restricted to ``S``. A file without quotes, CR, NUL
-or blank lines is cut at byte offsets and never reaches ``csv.reader``.
+bad cells on either side of a chunk boundary, and lines, characters, a BOM
+and CRLF pairs across the boundaries of a tiny read window.
+``load_csv(..., columns=S)`` must match the reference restricted to ``S``. A
+file without quotes, CR, NUL or blank lines is cut at byte offsets and never
+reaches ``csv.reader``; a file whose first such line comes later is cut up to
+it. A load holds the table and a fixed allowance, not the file.
 """
 
 from __future__ import annotations
@@ -14,7 +17,9 @@ from __future__ import annotations
 import csv
 import io
 import os
+import sys
 import threading
+import tracemalloc
 from collections import defaultdict
 from types import SimpleNamespace
 from unittest import mock
@@ -170,6 +175,7 @@ def test_random_tables_match_the_reference(seed, tmp_path, monkeypatch):
     missing = str(rng.choice(MISSING_TOKENS))
     odd = float(rng.choice([0.0, 0.0, 0.01, 0.05]))
     text = random_text(rng, kinds, missing, int(rng.integers(0, 40)), odd)
+    monkeypatch.setattr(tabular, "_WINDOW", int(rng.integers(1, 65)))  # lines straddle reads
     schema = {f"c{j}": k for j, k in enumerate(kinds)}
     check_table_parity(write(tmp_path, text), schema, missing)
 
@@ -183,6 +189,7 @@ def test_random_projections_match_the_reference(seed, tmp_path, monkeypatch):
     missing = str(rng.choice(MISSING_TOKENS))
     odd = float(rng.choice([0.0, 0.01, 0.05, 0.1]))
     text = random_text(rng, kinds, missing, int(rng.integers(0, 40)), odd)
+    monkeypatch.setattr(tabular, "_WINDOW", int(rng.integers(1, 65)))
     schema = {f"c{j}": k for j, k in enumerate(kinds)}
     # any order, repeats allowed; the table comes back in header order
     columns = [str(c) for c in rng.choice(list(schema), int(rng.integers(0, len(kinds) + 2)))]
@@ -198,6 +205,7 @@ def test_random_matrices_match_the_reference(seed, tmp_path, monkeypatch):
     text = random_text(rng, kinds, "", int(rng.integers(0, 40)), odd)
     if rng.random() < 0.5:  # importance scores are mostly non-negative
         text = text.replace("-", "")
+    monkeypatch.setattr(tabular, "_WINDOW", int(rng.integers(1, 65)))
     check_matrix_parity(write(tmp_path, text))
 
 
@@ -342,7 +350,7 @@ def test_piped_data_reads_like_the_file(name, tmp_path):
 
 @pytest.mark.parametrize("text", ["", "\ufeff"])
 def test_empty_file_is_a_parse_error(text, tmp_path):
-    """An empty file cannot be mapped; one holding only a BOM can."""
+    """Neither an empty file nor one holding only a BOM has a header."""
     path = write(tmp_path, text)
     with pytest.raises(ParseError, match="file is empty"):
         load_csv(path, {})
@@ -350,24 +358,50 @@ def test_empty_file_is_a_parse_error(text, tmp_path):
         load_importance_matrix(path)
 
 
-@pytest.mark.parametrize("name", ["plain", "quoted", "bom_non_ascii", "bad_cell"])
-def test_a_failed_mapping_falls_back_to_reading(name, tmp_path, monkeypatch):
-    path = write(tmp_path, PIPED[name])
-    schema = {"a": "numeric", "b": "categorical"}
-    want, want_err = outcome(load_csv, path, schema)
-    mapped = []
+def _windows_long_text(windows: float, quoted: bool, fault: str | None) -> bytes:
+    """A file about ``windows`` default read windows long, of multi-byte
+    cells; ``fault`` spoils its last line, or its second line and its last."""
+    pad = "é" * 100
+    lines = [f"{i}.5,b{i % 7},{pad}{i}" for i in range(int(windows * tabular._WINDOW / 215))]
+    if quoted:
+        lines = [",".join(f'"{c}"' for c in line.split(",")) for line in lines]
+    if fault == "bad cell":
+        lines[-1] = f"abc,1,{pad}"
+    elif fault == "ragged row":
+        lines[-1] = "1,2"
+    elif fault == "unclosed quote":  # csv.reader keeps the rest of the file as the cell
+        lines[-1] = f'1,2,"{pad}'
+    elif fault == "ragged row, then a bad byte":
+        lines[1] = "1,2"
+    text = ("\ufeffa,b,c\n" + "\n".join(lines) + "\n").encode()
+    return text + b"\xff\n" if fault == "ragged row, then a bad byte" else text
 
-    def unmappable(*args, **kwargs):
-        mapped.append(args)
-        raise OSError("no mapping")
 
-    monkeypatch.setattr(tabular.mmap, "mmap", unmappable)
-    got, got_err = outcome(load_csv, path, schema)
-    assert mapped
-    if want_err is not None:
-        assert_same_error(got_err, want_err)
-    else:
+@pytest.mark.parametrize("quoted", [False, True])
+@pytest.mark.parametrize(
+    "fault", [None, "bad cell", "ragged row", "unclosed quote", "ragged row, then a bad byte"])
+def test_a_file_several_windows_long_reads_like_the_reference(quoted, fault, tmp_path):
+    """At the default window: the reference's table, or its error in the
+    last window, a quote first seen there, and a bad byte at the end that
+    beats a ragged row in the first window."""
+    raw = _windows_long_text(3.5, quoted, fault)
+    path = tmp_path / "long.csv"
+    path.write_bytes(raw)
+    assert len(raw) > 3 * tabular._WINDOW
+    schema = {"a": "numeric", "b": "categorical", "c": "categorical"}
+    try:
+        raw.decode()
+    except UnicodeDecodeError as exc:
+        message = f"{path} is not UTF-8: {exc.reason} at byte {exc.start}"
+        for load, args in ((load_csv, (path, schema)), (load_importance_matrix, (path,))):
+            with pytest.raises(ParseError) as got:
+                load(*args)
+            assert str(got.value) == message
+        return
+    got, want = same_outcome(load_csv, ref_load_csv, path, schema)
+    if got is not None:
         assert_same_table(got, want)
+    assert (got is None) == (fault in ("bad cell", "ragged row"))
 
 
 @pytest.mark.parametrize("load", ["table", "matrix"])
@@ -379,6 +413,53 @@ def test_undecodable_bytes_are_a_parse_error(load, tmp_path):
             load_csv(path, {"a": "numeric", "b": "numeric"})
         else:
             load_importance_matrix(path)
+
+
+UNDECODABLE = [
+    b"a,b\n1,2\n3,\xff\n",
+    b"\xef\xbb\xbfa,b\n1,\x80\n",  # a BOM, then a lone continuation byte
+    b"a,b\n1,\xc3\n2,3\n",  # a sequence cut short by a newline
+    b"a,b\n1,2\n3,\xe2\x82",  # and by the end of the file
+    b'a,b\n1,"x\ny"\n2,\xed\xa0\x80\n',  # a surrogate, after the switch to csv.reader
+]
+
+
+@pytest.mark.parametrize("window", [None, 1, 2, 5])
+@pytest.mark.parametrize("raw", UNDECODABLE)
+def test_undecodable_bytes_name_their_offset_in_the_file(raw, window, tmp_path, monkeypatch):
+    if window:
+        monkeypatch.setattr(tabular, "_WINDOW", window)
+    path = tmp_path / "bad.csv"
+    path.write_bytes(raw)
+    with pytest.raises(UnicodeDecodeError) as exc:
+        raw.decode()
+    message = f"{path} is not UTF-8: {exc.value.reason} at byte {exc.value.start}"
+    for load, args in ((load_csv, (path, {"a": "numeric", "b": "numeric"})),
+                       (load_importance_matrix, (path,))):
+        with pytest.raises(ParseError) as got:
+            load(*args)
+        assert str(got.value) == message
+
+
+@pytest.mark.parametrize("window", [None, 1, 7])
+@pytest.mark.parametrize("text", [
+    "a,b\n" + "1,2\n" * 5 + '3,"' + "9" * 60 + '"\n',  # plain up to the bad line
+    "a,b\n1,2\n" + '"1",2\n' + "1,2\n" * 3 + "3," + "9" * 60 + "\n",  # plain up to line 3
+    "a,b\r\n" + "1,2\r\n" * 5 + "3," + "9" * 60 + "\r\n",  # csv.reader from the header
+])
+def test_malformed_csv_names_its_line_in_the_file(text, window, tmp_path, monkeypatch,
+                                                   field_limit_50):
+    if window:
+        monkeypatch.setattr(tabular, "_WINDOW", window)
+    reader = csv.reader(io.StringIO(text, newline=""))
+    with pytest.raises(csv.Error) as want:
+        list(reader)
+    path = write(tmp_path, text)
+    for load, args in ((load_csv, (path, {"a": "numeric", "b": "numeric"})),
+                       (load_importance_matrix, (path,))):
+        with pytest.raises(ParseError) as got:
+            load(*args)
+        assert str(got.value) == f"{path}: malformed CSV at line {reader.line_num}: {want.value}"
 
 
 @pytest.mark.parametrize("load", ["table", "matrix"])
@@ -548,7 +629,8 @@ def same_outcome(load, ref, *args):
 def test_fuzzed_bytes_match_the_reference(tmp_path, raw, data):
     path = tmp_path / "fuzz.csv"
     path.write_bytes(raw)
-    with mock.patch.object(tabular, "_CHUNK_ROWS", data.draw(st.integers(1, 4))):
+    with mock.patch.object(tabular, "_CHUNK_ROWS", data.draw(st.integers(1, 4))), \
+            mock.patch.object(tabular, "_WINDOW", data.draw(st.integers(1, 64))):
         try:
             text = raw.decode("utf-8").removeprefix("\ufeff")
         except UnicodeDecodeError as exc:
@@ -572,3 +654,54 @@ def test_fuzzed_bytes_match_the_reference(tmp_path, raw, data):
         if got is not None:
             assert got.feature_names == want.feature_names
             assert got.scores.tobytes() == want.scores.tobytes()
+
+
+def _table_bytes(table) -> int:
+    """The arrays of ``table`` and the distinct cell strings they hold."""
+    total, seen = 0, set()
+    for col in table.columns:
+        total += col.values.nbytes
+        if col.kind == "categorical":
+            for v in col.values.tolist():
+                if v is not None and id(v) not in seen:
+                    seen.add(id(v))
+                    total += sys.getsizeof(v)
+    return total
+
+
+def _traced_load_overhead(path, schema) -> int:
+    """The ``tracemalloc`` peak of one load, less the bytes of its table."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        table = load_csv(path, schema)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return peak - _table_bytes(table)
+
+
+ALLOWANCE = 12 << 20  # the read window, its text, one chunk of cells and one joined column
+
+
+@pytest.mark.parametrize("quoted", [False, True])
+def test_a_load_holds_the_table_and_a_fixed_allowance(quoted, tmp_path):
+    """An 8 MB file and one with twice its rows: each load peaks below its
+    table's bytes plus the same allowance, and doubling the rows adds less
+    than half the first file's overhead (a whole-file copy would double it)."""
+    rng = np.random.default_rng(0)
+    schema = {"a": "numeric", "b": "numeric", "c": "categorical"}
+    quoting = csv.QUOTE_ALL if quoted else csv.QUOTE_MINIMAL
+    overheads = []
+    for n_rows in (20_000, 40_000):
+        path = tmp_path / f"{n_rows}.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, quoting=quoting, lineterminator="\n")
+            writer.writerow(schema)
+            for a, b, c in zip(rng.random(n_rows).tolist(), (rng.random(n_rows) * 1e4).tolist(),
+                               rng.integers(0, 6, n_rows).tolist()):
+                writer.writerow([repr(a), repr(b), f"level {c} " + "x" * 360])
+        assert path.stat().st_size > n_rows * 400
+        overheads.append(_traced_load_overhead(path, schema))
+    assert max(overheads) < ALLOWANCE, overheads
+    assert overheads[1] < 1.5 * overheads[0], overheads
