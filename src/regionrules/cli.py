@@ -3,8 +3,10 @@
 Subcommands: select-features, extract, explain, evaluate, threshold, synth,
 oracle. Every knob can come from a flat ``key = value`` config file
 (``--config``): its entries become the subcommand's defaults, and
-command-line flags override them. Exit codes: 0 ok,
-1 usage error, 2 data error, 3 infeasible configuration, 4 empty result.
+command-line flags override them. Side files (config, features, sample,
+rules, spec) are UTF-8 with an optional BOM. Exit codes: 0 ok, else the
+``exit_code`` of the error met: 1 usage error, 2 data error or unreadable
+file, 3 infeasible configuration, 4 empty result.
 Log verbosity comes from the ``REGIONRULES_LOG`` environment variable.
 """
 
@@ -35,21 +37,13 @@ from .attribution import (
 from .binning import STRATEGIES
 from .errors import (
     ConfigError,
-    DegenerateFeatureError,
-    DegenerateLabelsError,
     DomainError,
-    EmptyMatrixError,
     EmptyResultError,
-    InfeasibleConfigError,
-    NoFeatureError,
-    NoTargetError,
     ParseError,
-    RangeError,
+    RegionRulesError,
     SchemaError,
     ShapeError,
     SpecError,
-    TooLargeError,
-    ZeroSupportError,
 )
 from .extraction import (
     ExtractionConfig,
@@ -73,28 +67,6 @@ from .tabular import (
 
 log = logging.getLogger("regionrules")
 
-USAGE_EXIT = 1
-DATA_EXIT = 2
-INFEASIBLE_EXIT = 3
-EMPTY_EXIT = 4
-
-_DATA_ERRORS = (
-    ParseError,
-    SchemaError,
-    DomainError,
-    ShapeError,
-    RangeError,
-    DegenerateLabelsError,
-    DegenerateFeatureError,
-    NoTargetError,
-    ZeroSupportError,
-    SpecError,
-    OSError,
-    json.JSONDecodeError,
-)
-_INFEASIBLE_ERRORS = (InfeasibleConfigError, TooLargeError)
-_EMPTY_ERRORS = (EmptyResultError, NoFeatureError, EmptyMatrixError)
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # a usage error is exit 1 with one JSON line
@@ -113,9 +85,31 @@ class _Parser(argparse.ArgumentParser):
                 raise ConfigError(f"config key {key!r}: cannot parse {raw!r}") from None
 
 
+def _side_text(path: str) -> str:
+    """A side file's text: UTF-8 after one optional BOM, as ``read_csv``
+    reads a table; undecodable bytes are a ParseError."""
+    data = Path(path).read_bytes()
+    bom = 3 if data.startswith(b"\xef\xbb\xbf") else 0
+    try:
+        return str(data[bom:], "utf-8")
+    except UnicodeDecodeError as exc:  # offsets count the BOM
+        at = bom + exc.start
+        raise ParseError(f"{path} is not UTF-8: {exc.reason} at byte {at}") from None
+
+
+def _side_json(path: str):
+    """A side file's JSON value; malformed or too deeply nested JSON is a
+    ParseError."""
+    text = _side_text(path)
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"{path} is not readable JSON: {exc}") from None
+
+
 def _load_config_file(path: str) -> dict:
     out = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(_side_text(path).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -151,7 +145,7 @@ def _empty_result(reason: str, payload: dict, out_path: str | None) -> int:
     """Write ``payload`` marked as empty, report ``reason`` on stderr, exit 4."""
     _emit({**payload, "result": "none", "reason": reason}, out_path)
     _fail(EmptyResultError(reason))
-    return EMPTY_EXIT
+    return EmptyResultError.exit_code
 
 
 def _schema(args: argparse.Namespace) -> defaultdict[str, str]:
@@ -218,7 +212,7 @@ def _feature_names(args: argparse.Namespace) -> list[str] | None:
     raw, ffile = args.features, args.features_file
     names = [n.strip() for n in raw.split(",") if n.strip()] if raw else None
     if ffile:
-        payload = json.loads(Path(ffile).read_text(encoding="utf-8"))
+        payload = _side_json(ffile)
         names = payload.get("features") if isinstance(payload, dict) else None
         if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
             raise SchemaError(f'{ffile}: "features" must be a list of column names')
@@ -352,7 +346,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         raise ConfigError("give exactly one of --row-index / --sample-file")
     named = {}
     if sample_file is not None:
-        named = json.loads(Path(sample_file).read_text(encoding="utf-8"))
+        named = _side_json(sample_file)
         if not isinstance(named, dict):
             raise SchemaError(f"{sample_file}: the sample must map feature names to values")
     target, features, feature_indices = _search_inputs(args, extra=list(named))
@@ -372,7 +366,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 def _rule_dicts_from_file(path: str) -> list[dict]:
     """The rule-set objects of a rules file, each holding a "rules" list."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    payload = _side_json(path)
     if isinstance(payload, dict):
         single = [payload] if "rules" in payload else None
         payload = payload.get("candidates", payload.get("rule_sets", single))
@@ -415,7 +409,7 @@ def _pairs(value) -> tuple[tuple[float, float], ...]:
 
 def _planted_spec(path: str) -> PlantedSpec:
     """The PlantedSpec of a spec file; any malformed field is a SpecError."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    payload = _side_json(path)
     try:
         return PlantedSpec(
             n_rows=int(payload["n_rows"]),
@@ -619,18 +613,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:  # -h and --version
         return int(exc.code or 0)
-    except ConfigError as exc:
+    except (RegionRulesError, OSError) as exc:  # an unreadable file is a data error
         _fail(exc)
-        return USAGE_EXIT
-    except _INFEASIBLE_ERRORS as exc:
-        _fail(exc)
-        return INFEASIBLE_EXIT
-    except _EMPTY_ERRORS as exc:
-        _fail(exc)
-        return EMPTY_EXIT
-    except _DATA_ERRORS as exc:
-        _fail(exc)
-        return DATA_EXIT
+        return getattr(exc, "exit_code", RegionRulesError.exit_code)
 
 
 def _fail(exc: Exception) -> None:

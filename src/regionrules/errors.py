@@ -1,12 +1,15 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package. A class's ``exit_code`` is the
+command line's exit status for it: 1 usage, 2 data, 3 infeasible, 4 empty."""
 
 
 class RegionRulesError(Exception):
     """Base class for every error raised by this package."""
+    exit_code = 2
 
 
 class ConfigError(RegionRulesError):
     """A configuration value violates a precondition (usage error)."""
+    exit_code = 1
 
 
 class ParseError(RegionRulesError):
@@ -36,14 +39,17 @@ class ShapeError(RegionRulesError):
 
 class EmptyMatrixError(RegionRulesError):
     """An importance matrix ended up with zero usable rows."""
+    exit_code = 4
 
 
 class NoFeatureError(RegionRulesError):
     """No feature clears the frequency requirement at any threshold."""
+    exit_code = 4
 
 
 class EmptyResultError(RegionRulesError):
     """An operation that must pick from candidates received none."""
+    exit_code = 4
 
 
 class DegenerateFeatureError(RegionRulesError):
@@ -60,6 +66,7 @@ class ZeroSupportError(RegionRulesError):
 
 class InfeasibleConfigError(RegionRulesError):
     """The configuration cannot be satisfied by the given data."""
+    exit_code = 3
 
 
 class RangeError(RegionRulesError):
@@ -68,6 +75,7 @@ class RangeError(RegionRulesError):
 
 class TooLargeError(RegionRulesError):
     """Instance exceeds the tractability guard of the exhaustive oracle."""
+    exit_code = 3
 
 
 class SpecError(RegionRulesError):

@@ -457,7 +457,7 @@ def get_candidate_rules(
     ``(edges or vocabulary, target_counts, total_counts, exact ratios)``.
     """
     n = table.n_rows
-    flags = _target_of_length(target, n)
+    flags = target_flags(target, n)
     rows = None if condition is None else np.asarray(condition)
     if rows is not None and (rows.ndim != 1 or (len(rows) and rows.dtype.kind not in "biu")):
         raise ConfigError("condition must be a boolean mask or integer row indices")
@@ -585,16 +585,9 @@ def _ranked(root: RuleTreeNode) -> list[RuleSet]:
     return sorted(_dedupe(_collect_rule_sets(root)), key=_rank)
 
 
-def _target_of_length(target, n_rows: int) -> np.ndarray:
-    flags = target_flags(target)
-    if len(flags) != n_rows:
-        raise SchemaError("target indicator length does not match the table")
-    return flags
-
-
 def _search_inputs(table: DataTable, target, feature_set: Iterable[int], min_support: int):
     """A search's (target flags, feature set, target row count), input-checked."""
-    flags = _target_of_length(target, table.n_rows)
+    flags = target_flags(target, table.n_rows)
     features = frozenset(int(f) for f in feature_set)
     if not features:
         raise ConfigError("feature set must not be empty")

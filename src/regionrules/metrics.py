@@ -29,7 +29,7 @@ def support(table: DataTable, rule_set) -> int:
 
 def rule_set_stats(table: DataTable, target, rule_set) -> RuleStats:
     """Exact support, covered target rows and target subgroup size of a rule set."""
-    flags = target_flags(target)
+    flags = target_flags(target, table.n_rows)
     mask = rule_set_mask(table, _rules_of(rule_set))
     tp = int((mask & flags).sum())
     return RuleStats(int(mask.sum()), tp, int(flags.sum()), table.n_rows)
@@ -63,7 +63,7 @@ class EvaluationReport:
 
 def evaluate(table: DataTable, target, rule_sets) -> EvaluationReport:
     """Recompute support/confidence/fitness for each rule set from scratch."""
-    flags = target_flags(target)
+    flags = target_flags(target, table.n_rows)
     if not flags.any():
         raise NoTargetError(RuleStats.NO_TARGET)
     entries = []

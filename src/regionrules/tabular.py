@@ -190,11 +190,13 @@ class TargetIndicator:
         return len(self.flags)
 
 
-def target_flags(target) -> np.ndarray:
-    """Boolean row flags of a :class:`TargetIndicator` or any boolean sequence."""
-    if isinstance(target, TargetIndicator):
-        return target.flags
-    return np.asarray(target, dtype=bool)
+def target_flags(target, n_rows: int) -> np.ndarray:
+    """Boolean row flags of a :class:`TargetIndicator` or any boolean sequence,
+    checked to cover a table of ``n_rows`` rows."""
+    flags = target.flags if isinstance(target, TargetIndicator) else np.asarray(target, dtype=bool)
+    if flags.shape != (n_rows,):
+        raise SchemaError("target indicator length does not match the table")
+    return flags
 
 
 _CHUNK_ROWS = 2048  # rows whose cell strings are alive at once
@@ -443,14 +445,19 @@ def make_target(
     target_label: str = "1",
 ) -> TargetIndicator:
     """Flag rows whose predicted probability strictly exceeds ``threshold``."""
-    probs = np.asarray(probabilities, dtype=np.float64)
     if not math.isfinite(threshold):
         raise DomainError(f"threshold must be finite, got {threshold!r}")
+    return TargetIndicator(_probabilities(probabilities) > threshold, target_label)
+
+
+def _probabilities(values: Sequence[float]) -> np.ndarray:
+    """``values`` as float64, each checked to lie in [0, 1] (NaN does not)."""
+    probs = np.asarray(values, dtype=np.float64)
     bad = ~((probs >= 0.0) & (probs <= 1.0))
     if bad.any():
         i = int(np.argmax(bad))
-        raise DomainError(f"probability {probs[i]!r} at row {i} outside [0, 1]")
-    return TargetIndicator(flags=probs > threshold, target_label=target_label)
+        raise DomainError(f"probability {float(probs[i])!r} at row {i} outside [0, 1]")
+    return probs
 
 
 def roc_threshold(
@@ -461,9 +468,10 @@ def roc_threshold(
 
     Candidate thresholds are the midpoints between consecutive distinct
     sorted probabilities plus one value below the minimum; ties are broken
-    by the smallest maximizing threshold.
+    by the smallest maximizing threshold. Every probability must lie in
+    [0, 1], as for :func:`make_target`.
     """
-    probs = np.asarray(probabilities, dtype=np.float64)
+    probs = _probabilities(probabilities)
     labels = np.asarray(true_labels, dtype=bool)
     if probs.shape != labels.shape:
         raise DomainError("probabilities and labels have different lengths")

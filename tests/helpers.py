@@ -155,7 +155,7 @@ def ref_brute_force_best(table, target, n_g, l_max, s_min, strategy="uniform", s
     from regionrules import make_grids
     from regionrules.extraction import CategoryEquals, Interval, Rule, RuleSet, RuleStats
 
-    flags = target_flags(target)
+    flags = target_flags(target, table.n_rows)
     target_count = int(flags.sum())
     if target_count == 0:
         raise EmptyResultError("target subgroup is empty")

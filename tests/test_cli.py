@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from regionrules import cli, extraction
+from regionrules import cli, errors, extraction
 from regionrules.cli import main
 
 from helpers import fixture_table
@@ -537,6 +537,19 @@ class TestEvaluate:
 
 
 class TestThreshold:
+    @pytest.mark.parametrize("cell, shown", [("", "nan"), ("1.5", "1.5")], ids=["blank", "1.5"])
+    def test_probability_outside_unit_interval_is_a_data_error(self, tmp_path, capsys,
+                                                                cell, shown):
+        data = tmp_path / "p.csv"
+        data.write_text(f"p,y\n0.1,0\n0.4,0\n{cell},1\n0.9,1\n")
+        code, out, err = run(
+            capsys, "threshold", "--data", data,
+            "--prediction-column", "p", "--label-column", "y",
+        )
+        assert (code, out) == (2, "")
+        assert one_error_line(err) == "DomainError"
+        assert json.loads(err)["message"] == f"probability {shown} at row 2 outside [0, 1]"
+
     def test_roc_threshold(self, tmp_path, capsys):
         data = tmp_path / "p.csv"
         data.write_text("p,y\n0.1,0\n0.4,0\n0.6,1\n0.9,1\n")
@@ -721,6 +734,116 @@ class TestConfigFile:
         code, payload, _ = self.extract(tmp_path, capsys, text)
         assert code == 0
         assert payload["config"]["max_rules"] == 1
+
+
+class TestExitCodes:
+    """Every error class exits with its own ``exit_code``, and an unreadable
+    file with 2; this table pins each of them."""
+
+    PINNED = {
+        "RegionRulesError": 2,
+        "ConfigError": 1,
+        "ParseError": 2,
+        "SchemaError": 2,
+        "DomainError": 2,
+        "DegenerateLabelsError": 2,
+        "ShapeError": 2,
+        "EmptyMatrixError": 4,
+        "NoFeatureError": 4,
+        "EmptyResultError": 4,
+        "DegenerateFeatureError": 2,
+        "NoTargetError": 2,
+        "ZeroSupportError": 2,
+        "InfeasibleConfigError": 3,
+        "RangeError": 2,
+        "TooLargeError": 3,
+        "SpecError": 2,
+        "OSError": 2,
+    }
+
+    def test_every_error_class_is_pinned(self):
+        classes = {
+            name for name, c in vars(errors).items()
+            if isinstance(c, type) and issubclass(c, errors.RegionRulesError)
+        }
+        assert classes | {"OSError"} == set(self.PINNED)
+
+    @pytest.mark.parametrize("name, code", sorted(PINNED.items()))
+    def test_exit_code(self, monkeypatch, capsys, name, code):
+        error = getattr(errors, name, OSError)
+
+        def fail(args):
+            raise error("boom")
+
+        monkeypatch.setattr(cli, "_cmd_synth", fail)
+        assert run(capsys, "synth") == (code, "", '{"error": "%s", "message": "boom"}\n' % name)
+
+
+class TestSideFiles:
+    """Config, features, sample, rules and spec files are UTF-8 after one
+    optional BOM, as data files are; one that cannot be read is a data error
+    (exit 2, one JSON line on stderr)."""
+
+    OPTIONS = ["--config", "--features-file", "--sample-file", "--rules", "--spec-file"]
+    JSON_OPTIONS = OPTIONS[1:]
+    BOM = b"\xef\xbb\xbf"
+
+    VALID = {
+        "--config": f"min-support = 150\ndata = {FIXTURES / 'two_mode.csv'}\n"
+                    "target_column = label\nmax_rules = 1\n",
+        "--features-file": '{"features": ["f1", "f0"]}',
+        "--sample-file": '{"f0": 0.65, "f1": 0.25}',
+        "--rules": '[{"rules": [{"feature": "f0", "op": "in_interval", "lo": 0.6, "hi": 0.7}]}]',
+        "--spec-file": (FIXTURES / "two_mode_spec.json").read_text(encoding="utf-8"),
+    }
+
+    def run_with(self, capsys, tmp_path, option, body: bytes):
+        """Run a command that reads ``body`` through ``option`` and writes
+        its output to ``tmp_path / "out"``."""
+        path = tmp_path / "side"
+        path.write_bytes(body)
+        data = ["--data", FIXTURES / "two_mode.csv", "--target-column", "label"]
+        search = [*data, "--min-support", "150", "--max-rules", "1"]
+        argv = {
+            "--config": ["extract"],
+            "--features-file": ["extract", *search],
+            "--sample-file": ["explain", *search],
+            "--rules": ["evaluate", *data],
+            "--spec-file": ["synth"],
+        }[option]
+        return path, run(capsys, *argv, option, path, "--out", tmp_path / "out")
+
+    @pytest.mark.parametrize("option", OPTIONS)
+    def test_a_bom_is_dropped(self, tmp_path, capsys, option):
+        outputs = []
+        for bom in (b"", self.BOM):
+            body = bom + self.VALID[option].encode()
+            _, (code, out, err) = self.run_with(capsys, tmp_path, option, body)
+            outputs.append((code, out, err, (tmp_path / "out").read_bytes()))
+        assert outputs[0][0] == 0
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("bom", [b"", BOM], ids=["plain", "bom"])
+    @pytest.mark.parametrize("option", OPTIONS)
+    def test_undecodable_bytes(self, tmp_path, capsys, option, bom):
+        body = bom + b'["f0\xff"]\n'
+        path, (code, out, err) = self.run_with(capsys, tmp_path, option, body)
+        assert (code, out) == (2, "")
+        assert one_error_line(err) == "ParseError"
+        assert json.loads(err)["message"] == (  # offsets count the BOM
+            f"{path} is not UTF-8: invalid start byte at byte {body.index(0xFF)}"
+        )
+
+    @pytest.mark.parametrize(
+        "body", ["[" * 200_000, '{"features": [', "[1" + "0" * 5000 + "]"],
+        ids=["deep", "cut-short", "long-integer"],
+    )
+    @pytest.mark.parametrize("option", JSON_OPTIONS)
+    def test_unreadable_json(self, tmp_path, capsys, option, body):
+        path, (code, out, err) = self.run_with(capsys, tmp_path, option, body.encode())
+        assert (code, out) == (2, "")
+        assert one_error_line(err) == "ParseError"
+        assert json.loads(err)["message"].startswith(f"{path} is not readable JSON: ")
 
 
 class TestUsage:

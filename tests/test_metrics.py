@@ -13,7 +13,7 @@ from regionrules import (
     support,
 )
 from regionrules.errors import NoTargetError, SchemaError, ZeroSupportError
-from regionrules.metrics import format_rule, report_json, report_text
+from regionrules.metrics import format_rule, report_json, report_text, rule_set_stats
 
 from helpers import random_table
 
@@ -132,6 +132,31 @@ class TestFitness:
             assert abs(fit - s * (2 * c - 1) / target.count) < 1e-12
             assert 0.0 <= c <= 1.0
             assert fit <= s / target.count <= table.n_rows / target.count
+
+
+class TestTargetLength:
+    """A target that does not cover the table row for row is a SchemaError,
+    as it is for the search, not a numpy broadcast error."""
+
+    @pytest.mark.parametrize("length", [0, 19, 21])
+    @pytest.mark.parametrize("measure", [confidence, fitness, rule_set_stats])
+    def test_per_rule_set_measures(self, grid_table, length, measure):
+        table, target = grid_table
+        flags = np.resize(target.flags, length)
+        with pytest.raises(SchemaError, match="length does not match"):
+            measure(table, flags, RULE_12)
+
+    @pytest.mark.parametrize("length", [0, 19, 21])
+    def test_evaluate(self, grid_table, length):
+        table, target = grid_table
+        flags = TargetIndicator(flags=np.resize(target.flags, length))
+        with pytest.raises(SchemaError, match="length does not match"):
+            evaluate(table, flags, [RULE_12])
+
+    def test_two_dimensional_flags(self, grid_table):
+        table, target = grid_table
+        with pytest.raises(SchemaError, match="length does not match"):
+            evaluate(table, target.flags[:, None], [RULE_12])
 
 
 class TestReport:

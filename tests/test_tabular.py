@@ -113,7 +113,7 @@ class TestMakeTarget:
         assert make_target([0.5], 0.5).flags.tolist() == [False]
 
     def test_probability_outside_unit_interval(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^probability 1\.2 at row 0 outside \[0, 1\]$"):
             make_target([1.2], 0.5)
 
     def test_nonfinite_threshold(self):
@@ -145,6 +145,15 @@ class TestRocThreshold:
     def test_single_class_rejected(self):
         with pytest.raises(DegenerateLabelsError):
             roc_threshold([0.2, 0.8], [True, True])
+
+    @pytest.mark.parametrize("bad, shown", [(float("nan"), "nan"), (1.5, "1.5"), (-0.5, "-0.5")])
+    def test_probability_outside_unit_interval(self, bad, shown):
+        # the same check and message as make_target, which rejects the same column
+        message = rf"^probability {shown} at row 2 outside \[0, 1\]$"
+        for call in (lambda p: roc_threshold(p, [False, False, True, True]),
+                     lambda p: make_target(p, 0.5)):
+            with pytest.raises(DomainError, match=message):
+                call([0.1, 0.4, bad, 0.9])
 
     def test_separable_data_reaches_perfect_J(self):
         rng = np.random.default_rng(3)
