@@ -126,7 +126,7 @@ def _kmeans_1d(values: np.ndarray, k: int, seed: int) -> list[float]:
     buf = np.empty_like(values)
     starts = np.arange(0, len(values), _BLOCK)
     margin = _MARGIN_PER_VALUE * len(values)
-    for _ in range(1, k):
+    for draw in range(1, k):
         prefix = np.cumsum(np.add.reduceat(d2, starts))
         if prefix[-1] == 0.0:  # a sum of non-negative values is 0 only if all are
             break
@@ -134,8 +134,9 @@ def _kmeans_1d(values: np.ndarray, k: int, seed: int) -> list[float]:
             raise DomainError("squared distances between values overflow in kmeans binning")
         c = values[_seed_index(d2, prefix, rng.random(), margin, buf)]
         centers.append(float(c))
-        np.square(np.subtract(values, c, out=buf), out=buf)
-        np.minimum(d2, buf, out=d2)
+        if draw < k - 1:  # the last draw's distances are never read
+            np.square(np.subtract(values, c, out=buf), out=buf)
+            np.minimum(d2, buf, out=d2)
     del d2, buf
     centers = sorted(set(centers))
 

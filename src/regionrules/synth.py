@@ -34,6 +34,10 @@ class PlantedMode:
     weight: float
 
 
+# the most rows whose (n_rows, 3) float64 arrays numpy can index
+MAX_ROWS = np.iinfo(np.intp).max // (3 * 8)
+
+
 @dataclass(frozen=True)
 class PlantedSpec:
     """Recipe for a planted-rectangle dataset with a Bernoulli background."""
@@ -46,8 +50,8 @@ class PlantedSpec:
     domain: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self):
-        if self.n_rows < 1:
-            raise SpecError("n_rows must be >= 1")
+        if not 1 <= self.n_rows <= MAX_ROWS:
+            raise SpecError(f"n_rows must be between 1 and {MAX_ROWS}")
         if not 1 <= self.n_features <= 3:
             raise SpecError("n_features must be between 1 and 3")
         dom = self.domain or tuple((0.0, 1.0) for _ in range(self.n_features))

@@ -15,7 +15,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -201,15 +201,18 @@ def target_flags(target, n_rows: int) -> np.ndarray:
 
 _CHUNK_ROWS = 2048  # rows whose cell strings are alive at once
 _WINDOW = 1 << 20  # bytes read at a time; only a longer line grows the buffer
+_TEXT = 1 << 16  # bytes decoded for one StringIO, which holds 4 bytes per character
 
 
 @contextmanager
 def read_csv(path, empty_message: str):
     """Header and reader of a comma-separated UTF-8 file, as a context
-    manager. ``read(js)``, called once with increasing column indices, yields
-    ``(rows, cells)`` chunks: ``rows`` is the range of their 0-based data
-    rows, ``cells`` the strings of their ``js`` cells in row order (column
-    ``js[k]`` is ``cells[k::len(js)]``). The file is read whole lines at a
+    manager. ``read(js, max_cells=None)``, called once with increasing
+    column indices, yields ``(rows, cells)`` chunks: ``rows`` is the range of
+    their 0-based data rows, ``cells`` the strings of their ``js`` cells in
+    row order (column ``js[k]`` is ``cells[k::len(js)]``). A chunk has at
+    most ``_CHUNK_ROWS`` rows and, with ``max_cells``, at most that many
+    cells but at least one row. The file is read whole lines at a
     time through one reused buffer of about ``_WINDOW`` bytes, so neither it
     nor its text is ever held whole; a pipe reads like a file. A row of the
     wrong width raises ParseError once the rows before it have been yielded;
@@ -222,13 +225,13 @@ def read_csv(path, empty_message: str):
             pieces = _pieces(windows, path)
             if (first := next(pieces, None)) is None:
                 raise ParseError(empty_message)
-            if isinstance(first, list):  # csv.reader's first list, the header row alone
-                header = first[0]
-            else:
+            if isinstance(first, tuple):
                 buf, ends = first
                 header = buf[: ends[1]].tobytes().decode().split(",")
-                pieces = chain([(buf, ends[1:])], pieces)
-            yield header, partial(_cells, pieces, len(header))
+                first = (buf, ends[1:])
+            elif (header := next(first, None)) is None:  # csv.reader's rows, header first
+                raise ParseError(empty_message)
+            yield header, partial(_cells, chain([first], pieces), len(header))
         except RegionRulesError:
             for _ in windows:  # raises at an undecodable byte
                 pass
@@ -274,8 +277,8 @@ def _pieces(windows, path):
     them, and they end at ``ends[1:]`` (``ends[0]`` ends the line before
     them). From the first line that csv.reader may split otherwise (it is
     blank, longer than the field size limit or holds a quote, CR or NUL) to
-    the end, lists of csv.reader rows, the first of them one row long. A
-    line's length in bytes is never below its length in characters."""
+    the end, one last piece: an iterator of csv.reader rows. A line's
+    length in bytes is never below its length in characters."""
     limit = csv.field_size_limit()
     line = 0  # lines before this window
     for raw, lo, hi in windows:
@@ -296,49 +299,59 @@ def _pieces(windows, path):
             yield buf, ends[: stop + 1]
         if stop < len(lengths):
             rest = chain([(raw, lo + ends[stop] + 1, hi)], windows)
-            yield from _csv_rows(rest, line + stop, path)
+            yield _csv_rows(rest, line + stop, path)
             return
         line += stop
 
 
 def _csv_rows(windows, line: int, path):
-    """Lists of csv.reader rows of ``windows``, the first list one row long;
-    ``line`` lines of the file come before them. Lines are split as
-    ``io.StringIO(newline="")`` splits them, one window at a time."""
-    texts = (str(memoryview(raw)[lo:hi], "utf-8") for raw, lo, hi in windows)
-    reader = csv.reader(s for text in texts for s in io.StringIO(text, newline=""))
+    """The csv.reader rows of ``windows``, one at a time; ``line`` lines of
+    the file come before them. Lines are split as ``io.StringIO(newline="")``
+    splits them, about ``_TEXT`` bytes at a time."""
+    reader = csv.reader(s for text in _texts(windows) for s in io.StringIO(text, newline=""))
     try:
-        for n in chain([1], repeat(_CHUNK_ROWS)):
-            if not (rows := list(islice(reader, n))):
-                return
-            yield rows
+        yield from reader
     except csv.Error as exc:
         at = line + reader.line_num
         raise ParseError(f"{path}: malformed CSV at line {at}: {exc}") from None
 
 
-def _cells(pieces, width: int, js):
-    """read(js) of the ``pieces`` of :func:`_pieces`."""
+def _texts(windows):
+    """The text of ``windows``, cut after the first LF past each ``_TEXT``
+    bytes or at a window's end; such a cut never splits a character or a
+    line."""
+    for raw, lo, hi in windows:
+        while lo < hi:
+            cut = raw.find(b"\n", lo + _TEXT, hi) + 1 or hi
+            yield str(memoryview(raw)[lo:cut], "utf-8")
+            lo = cut
+
+
+def _cells(pieces, width: int, js, max_cells: int | None = None):
+    """read(js, max_cells) of the ``pieces`` of :func:`_pieces`."""
+    step = _CHUNK_ROWS
+    if max_cells is not None:
+        step = min(step, max(1, max_cells // max(1, len(js))))
     row = 0
     for piece in pieces:
-        if isinstance(piece, list):
-            yield from _csv_cells(piece, width, js, row)
-            row += len(piece)
-        else:
-            yield from _split_cells(*piece, width, js, row)
+        if isinstance(piece, tuple):
+            yield from _split_cells(*piece, width, js, row, step)
             row += len(piece[1]) - 1
+        else:  # the last piece
+            yield from _csv_cells(piece, width, js, row, step)
 
 
-def _split_cells(buf: np.ndarray, ends: np.ndarray, width: int, js, row: int):
+def _split_cells(buf: np.ndarray, ends: np.ndarray, width: int, js, row: int, step: int):
     """read(js) of the lines of ``buf`` that end at ``ends[1:]``, the first
-    of them data row ``row``; none has a quote, CR or NUL or is blank.
-    Commas and newlines never occur inside a multi-byte UTF-8 sequence, so
-    cells are cut at byte offsets and only the ``js`` cells become strings."""
+    of them data row ``row``, ``step`` lines at a time; none has a quote,
+    CR or NUL or is blank. Commas and newlines never occur inside a
+    multi-byte UTF-8 sequence, so cells are cut at byte offsets and only the
+    ``js`` cells become strings."""
     comma = np.uint8(ord(","))
     is_read = np.isin(np.arange(width), js)
-    for start in range(0, len(ends) - 1, _CHUNK_ROWS):
+    for start in range(0, len(ends) - 1, step):
         lo = ends[start] + 1
-        line_ends = ends[start + 1 : start + 1 + _CHUNK_ROWS] - lo
+        line_ends = ends[start + 1 : start + 1 + step] - lo
         chunk = np.append(buf[lo : lo + line_ends[-1]], comma)  # a writable copy
         chunk[line_ends] = comma  # every cell now ends in a comma
         seps = np.flatnonzero(chunk == comma)
@@ -358,13 +371,17 @@ def _split_cells(buf: np.ndarray, ends: np.ndarray, width: int, js, row: int):
             raise ParseError(f"row {i + n} has {widths[n]} cells, expected {width}", row=i + n)
 
 
-def _csv_cells(rows: list, width: int, js, row: int):
-    """read(js) of csv.reader ``rows``, the first of them data row ``row``."""
-    n = next((i for i, r in enumerate(rows) if len(r) != width), len(rows))
-    if n:
-        yield range(row, row + n), [r[j] for r in rows[:n] for j in js]
-    if n < len(rows):
-        raise ParseError(f"row {row + n} has {len(rows[n])} cells, expected {width}", row=row + n)
+def _csv_cells(rows, width: int, js, row: int, step: int):
+    """read(js) of the csv.reader ``rows``, the first of them data row
+    ``row``, ``step`` rows at a time."""
+    while chunk := list(islice(rows, step)):
+        n = next((i for i, r in enumerate(chunk) if len(r) != width), len(chunk))
+        if n:
+            yield range(row, row + n), [r[j] for r in chunk[:n] for j in js]
+        if n < len(chunk):
+            at = row + n
+            raise ParseError(f"row {at} has {len(chunk[n])} cells, expected {width}", row=at)
+        row += n
 
 
 def _numeric_cells(cells: list[str], rows: range, missing: str, name: str) -> np.ndarray:

@@ -7,6 +7,7 @@ import pytest
 
 from regionrules import cli, errors, extraction
 from regionrules.cli import main
+from regionrules.synth import MAX_ROWS
 
 from helpers import fixture_table
 
@@ -620,6 +621,17 @@ class TestSynth:
         code, out, err = run(capsys, "synth", "--spec-file", path, "--out", tmp_path / "d.csv")
         assert (code, out) == (2, "")
         assert one_error_line(err) == "SpecError"
+
+    @pytest.mark.parametrize("n_rows", [1e300, MAX_ROWS + 1, 0])
+    def test_a_row_count_numpy_cannot_index_is_a_spec_error(self, tmp_path, capsys, n_rows):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"n_rows": n_rows, "n_features": 2}))
+        out_csv = tmp_path / "d.csv"
+        code, out, err = run(capsys, "synth", "--spec-file", path, "--out", out_csv)
+        assert (code, out) == (2, "")
+        assert one_error_line(err) == "SpecError"
+        assert f"between 1 and {MAX_ROWS}" in json.loads(err)["message"]
+        assert not out_csv.exists()
 
 
 class TestOracle:

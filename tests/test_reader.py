@@ -28,7 +28,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from regionrules import load_csv, tabular
+from regionrules import attribution, load_csv, tabular
 from regionrules.attribution import load_importance_matrix
 from regionrules.errors import DomainError, ParseError, SchemaError
 from regionrules.tabular import KINDS
@@ -209,6 +209,32 @@ def test_random_matrices_match_the_reference(seed, tmp_path, monkeypatch):
     check_matrix_parity(write(tmp_path, text))
 
 
+@pytest.mark.parametrize("seed", range(80))
+def test_random_matrices_in_cell_bounded_chunks_match_the_reference(seed, tmp_path, monkeypatch):
+    """The matrix read's cell bound, not the row bound, sets the chunks."""
+    rng = np.random.default_rng(30_000 + seed)
+    monkeypatch.setattr(attribution, "_CHUNK_CELLS", int(rng.integers(1, 13)))
+    kinds = ["numeric"] * int(rng.integers(1, 7))
+    text = random_text(rng, kinds, "", int(rng.integers(0, 40)), float(rng.choice([0.0, 0.02])))
+    monkeypatch.setattr(tabular, "_WINDOW", int(rng.integers(1, 65)))
+    check_matrix_parity(write(tmp_path, text.replace("-", "")))
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_short_texts_for_csv_reader_match_the_reference(seed, tmp_path, monkeypatch):
+    """csv.reader's text cut after an LF every few bytes: CRLF pairs, quoted
+    line breaks and multi-byte characters lie on both sides of the cuts."""
+    rng = np.random.default_rng(40_000 + seed)
+    monkeypatch.setattr(tabular, "_TEXT", int(rng.integers(0, 24)))
+    monkeypatch.setattr(tabular, "_WINDOW", int(rng.integers(16, 257)))
+    kinds = [str(k) for k in rng.choice(["numeric", "categorical"], int(rng.integers(1, 5)))]
+    text = random_text(rng, kinds, "", int(rng.integers(0, 40)), float(rng.choice([0.0, 0.02])))
+    path = write(tmp_path, '"c0"' + text.removeprefix("\ufeff").removeprefix("c0"))
+    check_table_parity(path, {f"c{j}": k for j, k in enumerate(kinds)})
+    if "numeric" in kinds and "categorical" not in kinds:
+        check_matrix_parity(path)
+
+
 NAMED = {
     "quoted_comma": 'a,b\n"1,5",x\n2,"y,z"\n',
     "doubled_quotes": 'a,b\n1,"say ""hi"""\n2,""""\n',
@@ -299,6 +325,47 @@ def test_matrix_reports_the_first_bad_row_before_a_later_ragged_row(tmp_path):
     path = write(tmp_path, _numbers_text(2 * CHUNK, {5: "abc,1", CHUNK + 3: "1"}))
     assert check_matrix_parity(path).row == 5
     assert check_table_parity(path, {"c0": "numeric", "c1": "numeric"}).row == CHUNK + 3
+
+
+def _quote_all(text: str) -> str:
+    """``text`` with every cell quoted, which sends it through csv.reader."""
+    return "".join('"' + line.replace(",", '","') + '"\n' for line in text.splitlines())
+
+
+@pytest.mark.parametrize("quoted", [False, True])
+@pytest.mark.parametrize("width", [1, 24, 500, 9000])
+def test_a_read_by_cells_converts_a_bounded_chunk(width, quoted, tmp_path):
+    """``read(js, max_cells)`` yields at most ``max_cells`` cells, and at
+    most ``_CHUNK_ROWS`` rows, per chunk (one row when a row is wider), on
+    the byte path and on the csv.reader path; a read without ``max_cells``
+    keeps ``_CHUNK_ROWS`` rows per chunk."""
+    cells = attribution._CHUNK_CELLS
+    n_rows = max(3, 3 * cells // width)
+    text = _numbers_text(n_rows, {}, width)
+    path = write(tmp_path, _quote_all(text) if quoted else text)
+    with tabular.read_csv(path, "") as (header, read):
+        chunks = [(rows, len(got)) for rows, got in read(range(width), cells)]
+    assert max(size for _, size in chunks) == min(CHUNK, max(cells // width, 1)) * width
+    assert all(size == len(rows) * width for rows, size in chunks)
+    assert [rows.start for rows, _ in chunks[1:]] == [rows.stop for rows, _ in chunks[:-1]]
+    assert chunks[-1][0].stop == n_rows
+    with tabular.read_csv(path, "") as (header, read):
+        rows = [rows for rows, _ in read([0])]
+    assert [len(r) for r in rows[:-1]] == [CHUNK] * (len(rows) - 1)
+
+
+@pytest.mark.parametrize("quoted", [False, True])
+def test_matrix_names_the_first_bad_row_in_a_later_chunk(quoted, tmp_path):
+    """Rows count over the whole file when the first unparseable cell sits
+    several cell-bounded chunks in, ahead of a later bad cell."""
+    width = 24
+    step = attribution._CHUNK_CELLS // width
+    first = 3 * step + 5
+    bad = {first: ",".join(["1.0"] * 7 + ["abc"] + ["1.0"] * 16), 5 * step: "x" + ",1" * 23}
+    text = _numbers_text(6 * step, bad, width)
+    path = write(tmp_path, _quote_all(text) if quoted else text)
+    err = check_matrix_parity(path)
+    assert (err.row, str(err)) == (first, f"unparseable number in row {first}")
 
 
 def test_matrix_rejects_infinite_scores(tmp_path):

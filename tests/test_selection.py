@@ -6,6 +6,8 @@ every distinct score. Both must give the same float, or raise the same
 exception type, on every matrix.
 """
 
+import csv
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +22,7 @@ from regionrules import (
     select_frequent_features,
 )
 from regionrules.attribution import select_features
-from regionrules.errors import ConfigError, RegionRulesError
+from regionrules.errors import ConfigError, NoFeatureError, RegionRulesError
 
 from helpers import hit_transactions, ref_fp_growth, ref_scan_threshold
 
@@ -102,3 +104,95 @@ def test_c_min_is_checked_before_the_scan():
     # an all-zero matrix would fail the scan with NoFeatureError
     with pytest.raises(ConfigError):
         select_features(ImportanceMatrix(scores=np.zeros((3, 2))), c_min=0)
+
+
+def column_cases(rng):
+    """Matrices whose columns stress the per-column rank pick: ties at the
+    rank across columns, all-zero columns and one-column matrices."""
+    n_rows = int(rng.integers(1, 40))
+    base = np.round(rng.random(n_rows), 1)
+    yield np.column_stack([base, rng.permutation(base), base[::-1]])  # equal ranks
+    tied = np.round(rng.random((n_rows, 4)), 1)
+    tied[: max(1, n_rows // 2)] = 0.4  # many columns share a score near the rank
+    yield tied
+    zeros = rng.random((n_rows, 5))
+    zeros[:, rng.random(5) < 0.5] = 0.0
+    yield zeros
+    yield np.zeros((n_rows, 3)) + np.eye(n_rows, 3)  # at most one positive per column
+    yield rng.random((n_rows, 1))
+    one = np.round(rng.random((n_rows, 1)), 1)
+    one[rng.random(n_rows) < 0.5] = 0.0
+    yield one
+
+
+@pytest.mark.parametrize("seed", range(40))
+@pytest.mark.parametrize("gamma", [0.05, 0.5, 0.99, 1.0])
+def test_column_wise_scan_matches_the_reference(seed, gamma):
+    """gamma 1.0 requires every row, so each feature's pick is its least score."""
+    for scores in column_cases(np.random.default_rng(seed)):
+        matrix = ImportanceMatrix(scores=scores)
+        got = outcome(scan_threshold, matrix, gamma)
+        assert got == outcome(ref_scan_threshold, matrix, gamma), (scores, gamma)
+
+
+@pytest.mark.parametrize(
+    "scores, gamma, want",
+    [
+        ([[0.3, 0.3], [0.5, 0.5]], 1.0, 0.3),  # both ranks tie: the largest multi threshold
+        ([[0.3, 0.3, 0.6], [0.5, 0.7, 0.8]], 1.0, 0.5),  # two tie at the rank, one lies above
+        ([[0.0, 0.2], [0.0, 0.4]], 1.0, 0.2),  # an all-zero column never qualifies
+        ([[0.0, 0.0], [0.0, 0.4]], 1.0, NoFeatureError),  # no feature covers every row
+        ([[0.6], [0.2], [0.9]], 1.0, 0.2),  # one column: its least positive score
+        ([[0.0], [0.2], [0.9]], 1.0, NoFeatureError),
+    ],
+)
+def test_column_wise_scan_on_small_matrices(scores, gamma, want):
+    matrix = ImportanceMatrix(scores=np.array(scores, dtype=np.float64))
+    assert outcome(scan_threshold, matrix, gamma) == want
+    assert outcome(ref_scan_threshold, matrix, gamma) == want
+
+
+def planted_matrix_csv(path, n_rows, n_features, quoting):
+    """Noise scores rarely reach the four planted features' floor of 0.5, so
+    the hits and the itemsets stay few however wide the matrix is."""
+    rng = np.random.default_rng(n_features)
+    scores = 0.6 * rng.random((n_rows, n_features)) ** 4
+    scores[:, :4] = 0.5 + 0.5 * rng.random((n_rows, 4))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, quoting=quoting, lineterminator="\n")
+        writer.writerow([f"f{j}" for j in range(n_features)])
+        writer.writerows(np.round(scores, 6).tolist())
+
+
+# the read window (1 MiB), two chunks of cell strings, the score buffer's
+# spare sixteenth and, while mining, the hit matrix (one byte per score,
+# under 1 MiB here)
+SELECTION_ALLOWANCE = 4 << 20
+SCAN_ALLOWANCE = 1 << 20  # one column, a block of masks and the miner's row masks
+
+
+@pytest.mark.parametrize("quoting", [csv.QUOTE_MINIMAL, csv.QUOTE_ALL])
+@pytest.mark.parametrize("shape", [(20_000, 24), (2_000, 500)])
+def test_selection_holds_the_matrix_and_a_fixed_allowance(shape, quoting, tmp_path):
+    """Neither a join of the loaded blocks nor a full-matrix temporary in the
+    scan: a QUOTE_ALL file goes through csv.reader, a plain one is cut at
+    byte offsets, and both peak below the matrix plus the same allowance.
+    The selection itself adds only the hit matrix and a smaller allowance."""
+    path = tmp_path / "importance.csv"
+    planted_matrix_csv(path, *shape, quoting)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        matrix = load_importance_matrix(path)
+        load_peak = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        _, _, chosen = select_features(matrix, c_min=shape[0] // 10)
+        select_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert chosen == frozenset(range(4))
+    assert matrix.scores.shape == shape
+    nbytes, n_scores = matrix.scores.nbytes, matrix.scores.size
+    for peak in (load_peak, select_peak):
+        assert peak < nbytes + SELECTION_ALLOWANCE, (load_peak - nbytes, select_peak - nbytes)
+    assert select_peak < nbytes + n_scores + SCAN_ALLOWANCE, select_peak - nbytes - n_scores
