@@ -39,7 +39,6 @@ class GridHistogram:
     edges: tuple[float, ...]
     target_counts: tuple[int, ...]
     total_counts: tuple[int, ...]
-    feature: int
     condition_total: int
     condition_target: int
 
@@ -196,9 +195,7 @@ def _replayed_choice(d2: np.ndarray, r: float, buf: np.ndarray) -> int:
     return int(buf.searchsorted(r, side="right"))
 
 
-def sorted_grid_counts(
-    edges, s, st, feature: int, condition_total: int, condition_target: int
-) -> GridHistogram:
+def sorted_grid_counts(edges, s, st, condition_total: int, condition_target: int) -> GridHistogram:
     """:func:`grid_counts` from ``s`` and ``st``, the ascending present values
     of the condition rows and of its target rows."""
     edges = np.asarray(edges, dtype=np.float64)
@@ -212,19 +209,12 @@ def sorted_grid_counts(
         edges=edges.tolist(),
         target_counts=per_grid(st),
         total_counts=per_grid(s),
-        feature=feature,
         condition_total=condition_total,
         condition_target=condition_target,
     )
 
 
-def grid_counts(
-    edges,
-    feature_values,
-    target_flags,
-    condition_mask,
-    feature: int = 0,
-) -> GridHistogram:
+def grid_counts(edges, feature_values, target_flags, condition_mask) -> GridHistogram:
     """Count condition-satisfying rows per grid, split by target membership.
 
     Rows missing the feature are skipped; values exactly equal to the top
@@ -236,52 +226,50 @@ def grid_counts(
     present = cond & ~np.isnan(vals)
     s, st = np.sort(vals[present]), np.sort(vals[present & target])
     n, t = int(cond.sum()), int((cond & target).sum())
-    return sorted_grid_counts(edges, s, st, feature, n, t)
+    return sorted_grid_counts(edges, s, st, n, t)
 
 
 def merge_grids(hist: GridHistogram) -> GridHistogram:
-    """Merge equal-ratio neighbours, then fold empty grids into the better side.
+    """Merge equal-ratio neighbours, fold empty grids into the better side,
+    then merge equal-ratio neighbours again.
 
     Ratios are compared exactly on integer counts by cross-multiplication
     (:func:`share_above`; empty grids count as ratio zero). Empty grids join
-    the neighbour with the higher ratio, ties going left. The two passes
-    repeat until nothing changes, which makes the operation idempotent and
-    conserves all counts. A histogram with nothing to merge comes back as is.
+    the neighbour with the higher ratio, ties going left. After the first
+    merge no two neighbours share a ratio, so every empty grid left has only
+    neighbours with target rows, and folding it changes no grid's counts.
+    After the second merge no grid is empty (unless it is the only one) and
+    no neighbours share a ratio, so a further pass would change nothing: the
+    operation is idempotent and conserves all counts. A histogram with
+    nothing to merge comes back as is.
     """
     edges = list(hist.edges)
     tc = list(hist.target_counts)
     nc = list(hist.total_counts)
 
-    changed = True
-    while changed:
-        changed = False
+    def absorb(i: int, j: int) -> None:
+        """Grid ``j`` takes grid ``i``'s counts; the edge between them goes."""
+        tc[j] += tc[i]
+        nc[j] += nc[i]
+        del tc[i], nc[i], edges[max(i, j)]
+
+    def merge_equal() -> None:
         i = 0
         while i < len(nc) - 1:
             if tc[i] * (nc[i + 1] or 1) == tc[i + 1] * (nc[i] or 1):
-                tc[i] += tc[i + 1]
-                nc[i] += nc[i + 1]
-                del tc[i + 1], nc[i + 1], edges[i + 1]
-                changed = True
+                absorb(i + 1, i)
             else:
                 i += 1
-        i = 0
-        while i < len(nc):
-            if nc[i] == 0 and len(nc) > 1:
-                if i == 0:
-                    j = i + 1
-                elif i == len(nc) - 1:
-                    j = i - 1
-                else:
-                    right_higher = share_above((tc[i + 1], nc[i + 1]), (tc[i - 1], nc[i - 1]))
-                    j = i + 1 if right_higher else i - 1
-                tc[j] += tc[i]
-                nc[j] += nc[i]
-                del tc[i], nc[i]
-                # drop the edge shared with the absorbing neighbour
-                del edges[i + 1 if j > i else i]
-                changed = True
-            else:
-                i += 1
+
+    merge_equal()
+    # right to left, so a fold never moves a grid still to visit
+    for i in reversed(range(len(nc))):
+        if nc[i] == 0 and len(nc) > 1:
+            right = i == 0 or (
+                i < len(nc) - 1 and share_above((tc[i + 1], nc[i + 1]), (tc[i - 1], nc[i - 1]))
+            )
+            absorb(i, i + 1 if right else i - 1)
+    merge_equal()
 
     if len(nc) == hist.n_grids:  # every pass only ever removes grids
         return hist
@@ -289,7 +277,6 @@ def merge_grids(hist: GridHistogram) -> GridHistogram:
         edges=tuple(edges),
         target_counts=tuple(tc),
         total_counts=tuple(nc),
-        feature=hist.feature,
         condition_total=hist.condition_total,
         condition_target=hist.condition_target,
     )

@@ -436,10 +436,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(table.feature_names + ["label"])
-        for i in range(table.n_rows):
-            row = [repr(float(c.values[i])) for c in table.columns]
-            row.append("1" if target.flags[i] else "0")
-            writer.writerow(row)
+        columns = [map(repr, c.values.tolist()) for c in table.columns]
+        writer.writerows(zip(*columns, np.where(target.flags, "1", "0").tolist()))
 
     if args.meta_out:
         _emit(
@@ -613,16 +611,16 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:  # -h and --version
         return int(exc.code or 0)
-    except (RegionRulesError, OSError) as exc:  # an unreadable file is a data error
+    # an unreadable file, or an input too large to allocate, is a data error
+    except (RegionRulesError, OSError, MemoryError) as exc:
         _fail(exc)
         return getattr(exc, "exit_code", RegionRulesError.exit_code)
 
 
 def _fail(exc: Exception) -> None:
-    print(
-        json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-        file=sys.stderr,
-    )
+    # the first public class: numpy raises a private MemoryError subclass
+    name = next(c.__name__ for c in type(exc).__mro__ if not c.__name__.startswith("_"))
+    print(json.dumps({"error": name, "message": str(exc)}), file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -173,7 +173,6 @@ def numeric_histogram(
     target_rows: np.ndarray,
     rows: np.ndarray | None,
     config: ExtractionConfig,
-    feature: int,
 ) -> tuple[GridHistogram, np.ndarray, np.ndarray]:
     """Merged grid histogram of a numeric feature over the ascending ``rows``
     (``None``: every row), with the ascending present values of those rows
@@ -189,7 +188,7 @@ def numeric_histogram(
     edges = sort_and_make_grids(s, config.n_grids, config.strategy, config.seed)
     st.sort()
     n = len(vals) if rows is None else len(rows)
-    hist = sorted_grid_counts(edges, s, st, feature, n, len(target_rows))
+    hist = sorted_grid_counts(edges, s, st, n, len(target_rows))
     return merge_grids(hist), s, st
 
 
@@ -367,7 +366,7 @@ def _numeric_candidates(
     sample_value=_NO_SAMPLE,
 ) -> tuple[list[Candidate], tuple]:
     col = table.column(feature)
-    merged, s, st = numeric_histogram(col, target_rows, rows, config, feature)
+    merged, s, st = numeric_histogram(col, target_rows, rows, config)
     ratios = grid_ratios(merged)
 
     grown: dict[tuple[int, int], GrownInterval] = {}

@@ -207,18 +207,19 @@ _TEXT = 1 << 16  # bytes decoded for one StringIO, which holds 4 bytes per chara
 @contextmanager
 def read_csv(path, empty_message: str):
     """Header and reader of a comma-separated UTF-8 file, as a context
-    manager. ``read(js, max_cells=None)``, called once with increasing
-    column indices, yields ``(rows, cells)`` chunks: ``rows`` is the range of
-    their 0-based data rows, ``cells`` the strings of their ``js`` cells in
-    row order (column ``js[k]`` is ``cells[k::len(js)]``). A chunk has at
-    most ``_CHUNK_ROWS`` rows and, with ``max_cells``, at most that many
-    cells but at least one row. The file is read whole lines at a
-    time through one reused buffer of about ``_WINDOW`` bytes, so neither it
-    nor its text is ever held whole; a pipe reads like a file. A row of the
-    wrong width raises ParseError once the rows before it have been yielded;
-    so do malformed quoting and undecodable bytes. An error raised in the
-    block leaves it only once the rest of the file has been checked as
-    UTF-8: the first undecodable byte in the file beats every other error."""
+    manager; a header that repeats a name raises SchemaError.
+    ``read(js, max_cells=None)``, called once with increasing column indices,
+    yields ``(rows, cells)`` chunks: ``rows`` is the range of their 0-based
+    data rows, ``cells`` the strings of their ``js`` cells in row order
+    (column ``js[k]`` is ``cells[k::len(js)]``). A chunk has at most
+    ``_CHUNK_ROWS`` rows and, with ``max_cells``, at most that many cells but
+    at least one row. The file is read whole lines at a time through one
+    reused buffer of about ``_WINDOW`` bytes, so neither it nor its text is
+    ever held whole; a pipe reads like a file. A row of the wrong width
+    raises ParseError once the rows before it have been yielded; so do
+    malformed quoting and undecodable bytes. An error raised in the block
+    leaves it only once the rest of the file has been checked as UTF-8: the
+    first undecodable byte in the file beats every other error."""
     with open(path, "rb") as fh:
         windows = _windows(fh, path)
         try:
@@ -231,6 +232,9 @@ def read_csv(path, empty_message: str):
                 first = (buf, ends[1:])
             elif (header := next(first, None)) is None:  # csv.reader's rows, header first
                 raise ParseError(empty_message)
+            if len(set(header)) != len(header):
+                dupes = sorted({h for h in header if header.count(h) > 1})
+                raise SchemaError(f"duplicate header names {dupes}")
             yield header, partial(_cells, chain([first], pieces), len(header))
         except RegionRulesError:
             for _ in windows:  # raises at an undecodable byte
@@ -420,9 +424,6 @@ def load_csv(
     """
     with read_csv(path, "file is empty (no header row)") as (header, read):
         index = {name: j for j, name in enumerate(header)}
-        if len(index) != len(header):
-            dupes = sorted({h for h in header if header.count(h) > 1})
-            raise SchemaError(f"duplicate header names {dupes}")
         for name in header:
             try:
                 kind = schema[name]

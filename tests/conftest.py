@@ -22,7 +22,6 @@ def grid_hist():
         edges=(0.0, 1.0, 2.0, 3.0, 4.0),
         target_counts=(1, 3, 5, 1),
         total_counts=(5, 5, 5, 5),
-        feature=0,
         condition_total=20,
         condition_target=10,
     )

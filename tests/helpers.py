@@ -268,7 +268,7 @@ def ref_kmeans_1d(values: np.ndarray, k: int, seed: int) -> np.ndarray:
     return centers
 
 
-def ref_grid_counts(edges, vals, flags, cond, feature: int = 0):
+def ref_grid_counts(edges, vals, flags, cond):
     """Per-grid counts by ``searchsorted`` + ``bincount`` over the masked rows."""
     from regionrules import GridHistogram
 
@@ -280,7 +280,6 @@ def ref_grid_counts(edges, vals, flags, cond, feature: int = 0):
         edges=tuple(edges),
         target_counts=tuple(np.bincount(idx[flags[usable]], minlength=n_grids)),
         total_counts=tuple(np.bincount(idx, minlength=n_grids)),
-        feature=feature,
         condition_total=int(cond.sum()),
         condition_target=int((cond & flags).sum()),
     )
@@ -337,7 +336,6 @@ def ref_merge_grids(hist):
         edges=tuple(edges),
         target_counts=tuple(tc),
         total_counts=tuple(nc),
-        feature=hist.feature,
         condition_total=hist.condition_total,
         condition_target=hist.condition_target,
     )
@@ -566,7 +564,14 @@ def two_level_instance(rng: np.random.Generator):
 # ---------------------------------------------------------------------------
 # The per-cell CSV readers the chunked reader replaced, kept verbatim in
 # behaviour: csv.reader over the file, every row's width checked first, then
-# one float() and one isfinite() per numeric cell, column by column.
+# one float() and one isfinite() per numeric cell, column by column. A header
+# that repeats a name is a SchemaError in both.
+
+
+def _ref_unique_header(header) -> None:
+    if len(set(header)) != len(header):
+        dupes = sorted({h for h in header if header.count(h) > 1})
+        raise SchemaError(f"duplicate header names {dupes}")
 
 
 def ref_load_csv(path, schema, missing_token: str = "") -> DataTable:
@@ -576,9 +581,7 @@ def ref_load_csv(path, schema, missing_token: str = "") -> DataTable:
             header = next(reader)
         except StopIteration:
             raise ParseError("file is empty (no header row)") from None
-        if len(set(header)) != len(header):
-            dupes = sorted({h for h in header if header.count(h) > 1})
-            raise SchemaError(f"duplicate header names {dupes}")
+        _ref_unique_header(header)
         for name in header:
             if name not in schema:
                 raise SchemaError(f"schema does not cover column {name!r}")
@@ -633,6 +636,7 @@ def ref_load_importance_matrix(path) -> ImportanceMatrix:
             header = next(reader)
         except StopIteration:
             raise ParseError("importance matrix file is empty") from None
+        _ref_unique_header(header)
         rows = []
         for i, row in enumerate(reader):
             if len(row) != len(header):

@@ -21,8 +21,10 @@ from regionrules.errors import (
     EmptyResultError,
     NoFeatureError,
     ParseError,
+    SchemaError,
     ShapeError,
 )
+from regionrules.tabular import load_csv
 
 from helpers import qual_count
 
@@ -118,6 +120,15 @@ class TestLoadImportanceMatrix:
         p.write_text("a,b\n0.7\n")
         with pytest.raises(ParseError):
             load_importance_matrix(p)
+
+    def test_duplicate_header_is_the_schema_error_load_csv_raises(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_text("b,a,b,a\n1,2,3,4\n")
+        message = r"^duplicate header names \['a', 'b'\]$"
+        with pytest.raises(SchemaError, match=message):
+            load_importance_matrix(p)
+        with pytest.raises(SchemaError, match=message):
+            load_csv(p, {"a": "numeric", "b": "numeric"})
 
     def test_negative_score(self, tmp_path):
         p = tmp_path / "m.csv"

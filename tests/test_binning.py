@@ -141,7 +141,6 @@ def make_hist(pairs, condition=(10, 20)):
         edges=tuple(float(i) for i in range(len(pairs) + 1)),
         target_counts=t,
         total_counts=n,
-        feature=0,
         condition_target=condition[0],
         condition_total=condition[1],
     )
@@ -209,7 +208,7 @@ class TestGridHistogram:
 
         hist = GridHistogram(
             edges=(0.0, 1.0, 2.0), target_counts=(1, 3), total_counts=(4, 4),
-            feature=0, condition_total=np.int64(8), condition_target=np.int64(4),
+            condition_total=np.int64(8), condition_target=np.int64(4),
         )
         assert type(hist.condition_total) is type(hist.condition_target) is int
         ratios = grid_ratios(hist)

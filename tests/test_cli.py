@@ -82,6 +82,16 @@ class TestSelectFeatures:
         assert len(err.splitlines()) == 1
         assert json.loads(err) == {"error": "ConfigError", "message": "k_max must be >= 1, got 0"}
 
+    def test_duplicate_matrix_header_is_a_schema_error(self, tmp_path, capsys):
+        m = tmp_path / "imp.csv"
+        m.write_text("a,a,b\n1,1,0\n1,1,0\n")  # else it would select ["a", "a"]
+        code, out, err = run(capsys, "select-features", "--matrix", m)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert json.loads(err) == {
+            "error": "SchemaError", "message": "duplicate header names ['a']",
+        }
+
     def test_missing_input_file(self, tmp_path, capsys):
         code, _, err = run(capsys, "select-features", "--matrix", tmp_path / "nope.csv")
         assert code == 2
@@ -587,6 +597,12 @@ class TestSynth:
         assert run(capsys, "synth", "--spec-file", spec, "--out", b)[0] == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_fixture_spec_writes_the_fixture_csv(self, tmp_path, capsys):
+        out = tmp_path / "d.csv"
+        assert run(capsys, "synth", "--spec-file", FIXTURES / "two_mode_spec.json",
+                   "--out", out)[0] == 0
+        assert out.read_bytes() == (FIXTURES / "two_mode.csv").read_bytes()
+
     def test_meta_reports_mode_occupancy(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({
@@ -631,6 +647,16 @@ class TestSynth:
         assert (code, out) == (2, "")
         assert one_error_line(err) == "SpecError"
         assert f"between 1 and {MAX_ROWS}" in json.loads(err)["message"]
+        assert not out_csv.exists()
+
+    def test_a_row_count_too_large_to_allocate_is_a_memory_error(self, tmp_path, capsys):
+        # numpy refuses the 711 PiB column at once, with a private subclass
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"n_rows": 1e17, "n_features": 2}))
+        out_csv = tmp_path / "d.csv"
+        code, out, err = run(capsys, "synth", "--spec-file", path, "--out", out_csv)
+        assert (code, out) == (2, "")
+        assert one_error_line(err) == "MemoryError"
         assert not out_csv.exists()
 
 
@@ -750,7 +776,7 @@ class TestConfigFile:
 
 class TestExitCodes:
     """Every error class exits with its own ``exit_code``, and an unreadable
-    file with 2; this table pins each of them."""
+    file or a failed allocation with 2; this table pins each of them."""
 
     PINNED = {
         "RegionRulesError": 2,
@@ -771,18 +797,20 @@ class TestExitCodes:
         "TooLargeError": 3,
         "SpecError": 2,
         "OSError": 2,
+        "MemoryError": 2,
     }
+    BUILTIN = {"OSError": OSError, "MemoryError": MemoryError}
 
     def test_every_error_class_is_pinned(self):
         classes = {
             name for name, c in vars(errors).items()
             if isinstance(c, type) and issubclass(c, errors.RegionRulesError)
         }
-        assert classes | {"OSError"} == set(self.PINNED)
+        assert classes | set(self.BUILTIN) == set(self.PINNED)
 
     @pytest.mark.parametrize("name, code", sorted(PINNED.items()))
     def test_exit_code(self, monkeypatch, capsys, name, code):
-        error = getattr(errors, name, OSError)
+        error = getattr(errors, name, None) or self.BUILTIN[name]
 
         def fail(args):
             raise error("boom")

@@ -53,7 +53,7 @@ class TestGridRatios:
 
         hist = GridHistogram(
             edges=(0, 1, 2), target_counts=(2, 4), total_counts=(4, 8),
-            feature=0, condition_target=6, condition_total=12,
+            condition_target=6, condition_total=12,
         )
         assert grid_ratios(hist) == [F(1), F(1)]
 
@@ -62,7 +62,7 @@ class TestGridRatios:
 
         hist = GridHistogram(
             edges=(0, 1, 2), target_counts=(0, 5), total_counts=(0, 10),
-            feature=0, condition_target=5, condition_total=10,
+            condition_target=5, condition_total=10,
         )
         assert grid_ratios(hist)[0] == 0
 
@@ -71,7 +71,7 @@ class TestGridRatios:
 
         hist = GridHistogram(
             edges=(0, 1), target_counts=(0,), total_counts=(5,),
-            feature=0, condition_target=0, condition_total=5,
+            condition_target=0, condition_total=5,
         )
         with pytest.raises(NoTargetError):
             grid_ratios(hist)
@@ -131,7 +131,7 @@ class TestGenFeatureInterval:
             edges=(0, 1, 2, 3, 4),
             target_counts=(3, 0, 0, 1),
             total_counts=(3, 0, 0, 4),
-            feature=0, condition_target=4, condition_total=9,
+            condition_target=4, condition_total=9,
         )
         grown = gen_feature_interval(hist, peak=0, min_support=6)
         assert grown is not None
@@ -146,7 +146,7 @@ class TestGenFeatureInterval:
             edges=(0, 1, 2),
             target_counts=(3, 1),
             total_counts=(4, 6),
-            feature=0, condition_target=4, condition_total=10,
+            condition_target=4, condition_total=10,
         )
         # forced to annex everything: the full range is the whole condition,
         # ratio exactly 1, so no valid interval exists

@@ -119,7 +119,6 @@ def random_histogram(rng):
         edges=tuple(float(i) for i in range(len(pairs) + 1)),
         target_counts=tc,
         total_counts=nc,
-        feature=0,
         condition_total=cn,
         condition_target=ct,
     )
@@ -192,7 +191,7 @@ def test_node_histogram_and_screening_match_the_mask_kernel(seed):
                 with pytest.raises(type(exc)):
                     get_candidate_rules(table, flags, 0, rows, cfg)
                 continue
-            hist = numeric_histogram(table.column(0), rows[flags[rows]], rows, cfg, 0)[0]
+            hist = numeric_histogram(table.column(0), rows[flags[rows]], rows, cfg)[0]
             assert hist == want_hist
             # plain ints: numpy integers cannot hash the exact ratios built on them
             assert type(hist.condition_total) is type(hist.condition_target) is int

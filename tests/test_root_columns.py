@@ -48,9 +48,9 @@ def cases():
                 yield t, target, replace(config, strategy=strategy)
 
 
-def histogram_or_error(col, hit, rows, config, f):
+def histogram_or_error(col, hit, rows, config):
     try:
-        return numeric_histogram(col, hit, rows, config, f)
+        return numeric_histogram(col, hit, rows, config)
     except DegenerateFeatureError as exc:
         return str(exc)
 
@@ -67,7 +67,7 @@ def ref_root_histograms(table, target, feature_indices, config):
         entry = {"feature": col.name}
         try:
             if col.kind == "numeric":
-                hist = numeric_histogram(col, hit, rows, config, f)[0]
+                hist = numeric_histogram(col, hit, rows, config)[0]
                 tc, nc = list(hist.target_counts), list(hist.total_counts)
                 entry["edges"] = [float(e) for e in hist.edges]
             else:
@@ -85,10 +85,10 @@ def test_whole_columns_match_the_index_path():
     for table, target, config in cases():
         rows = np.arange(table.n_rows)
         hit = np.flatnonzero(target.flags)
-        for f, col in enumerate(table.columns):
+        for col in table.columns:
             if col.kind == "numeric":
-                got = histogram_or_error(col, hit, None, config, f)
-                want = histogram_or_error(col, hit, rows, config, f)
+                got = histogram_or_error(col, hit, None, config)
+                want = histogram_or_error(col, hit, rows, config)
                 if isinstance(want, str):
                     assert got == want
                     continue

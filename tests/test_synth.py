@@ -47,6 +47,26 @@ def with_missing_cells(rng, col):
     return FeatureColumn(col.name, col.kind, vals)
 
 
+def check_oracle_bounds_greedy_at_one_rule(rng, table, target):
+    """At one rule the search bins each feature over all of its values, as
+    the oracle does, and merging only removes edges, so every set it returns
+    is among the oracle's options: the exhaustive fitness is an upper bound."""
+    n_g = int(rng.integers(2, 9))
+    s_min = int(rng.integers(2, table.n_rows // 2))
+    strategy = ("uniform", "kmeans", "quantile")[rng.integers(3)]
+    seed = int(rng.integers(100))
+    config = ExtractionConfig(min_support=s_min, max_rules=1, n_grids=n_g, strategy=strategy,
+                              seed=seed, max_branches=int(rng.integers(1, 4)))
+    sets = extract_rule_sets(table, target, range(len(table.columns)), config)
+    try:
+        oracle = brute_force_best(table, target, n_g=n_g, l_max=1, s_min=s_min,
+                                  strategy=strategy, seed=seed)
+    except EmptyResultError:
+        assert sets == []
+        return
+    assert all(rs.stats.fitness <= oracle.stats.fitness for rs in sets)
+
+
 class TestGenSynthetic:
     def test_pure_modes_on_clean_background(self):
         table, target, summaries = gen_synthetic(one_mode_spec())
@@ -236,23 +256,26 @@ class TestBruteForceBest:
         assert f == s * (2 * c - 1) / target.count
 
     def test_oracle_bounds_greedy_at_one_rule(self):
-        # at the root no feature is conditioned, so both searches share every
-        # feature's unconditional grids and categories, and the exhaustive
-        # fitness is an upper bound
         rng = np.random.default_rng(31)
-        for _ in range(60):
+        for _ in range(400):
             table, target = random_table(rng, max_rows=120, max_features=3)
-            n_g = int(rng.integers(2, 9))
-            s_min = int(rng.integers(2, table.n_rows // 2))
-            strategy = ("uniform", "kmeans", "quantile")[rng.integers(3)]
-            config = ExtractionConfig(min_support=s_min, max_rules=1, n_grids=n_g,
-                                      strategy=strategy, seed=3)
-            sets = extract_rule_sets(table, target, range(len(table.columns)), config)
-            try:
-                oracle = brute_force_best(table, target, n_g=n_g, l_max=1,
-                                          s_min=s_min, strategy=strategy, seed=3)
-            except EmptyResultError:
-                assert sets == []
-                continue
-            for rs in sets:
-                assert rs.stats.fitness <= oracle.stats.fitness
+            if rng.random() < 0.3:
+                table = DataTable(tuple(with_missing_cells(rng, c) for c in table.columns))
+            check_oracle_bounds_greedy_at_one_rule(rng, table, target)
+
+    def test_oracle_bounds_greedy_at_one_rule_on_planted_tables(self):
+        rng = np.random.default_rng(32)
+        for _ in range(150):
+            d = int(rng.integers(1, 4))
+            modes = []
+            for k in range(int(rng.integers(1, 3))):  # mode k keeps to its half of feature 0
+                cuts = [np.sort(rng.uniform(size=2)) for _ in range(d)]
+                cuts[0] = (k + cuts[0]) / 2
+                modes.append(PlantedMode(bounds=tuple(map(tuple, cuts)),
+                                         purity=rng.uniform(0.6, 1.0),
+                                         weight=rng.uniform(0.05, 0.3)))
+            spec = PlantedSpec(n_rows=int(rng.integers(200, 1500)), n_features=d,
+                               modes=tuple(modes), background_rate=rng.uniform(0.0, 0.2),
+                               seed=int(rng.integers(1000)))
+            table, target, _ = gen_synthetic(spec)
+            check_oracle_bounds_greedy_at_one_rule(rng, table, target)
