@@ -27,13 +27,15 @@ SEARCH = [
 STRATEGIES = ("uniform", "quantile", "kmeans")
 
 
-def _extract(strategy: str) -> list[str]:
-    return ["extract", "--data", str(TWO_MODE), *SEARCH, "--strategy", strategy]
+def _extract(strategy: str, *extra: str) -> list[str]:
+    return ["extract", "--data", str(TWO_MODE), *SEARCH, "--strategy", strategy, *extra]
 
 
 # case name -> argv without --out; evaluate reads the stored uniform rules
 CASES = {
     **{f"extract_{s}": _extract(s) for s in STRATEGIES},
+    # 40 grids: the root sorts its values to count them (39 edges > log2 rows)
+    **{f"extract_{s}_40": _extract(s, "--n-grids", "40") for s in ("uniform", "quantile")},
     "explain": ["explain", "--data", str(TWO_MODE), *SEARCH, "--row-index", "3"],
     "evaluate": [
         "evaluate", "--data", str(TWO_MODE), "--target-column", "label",
