@@ -2,9 +2,11 @@
 
 Grids are half-open ``[edges[i], edges[i+1])`` except the last one, which is
 closed on the right. All occupancy counts are plain integers so downstream
-ratio comparisons can be done exactly. ``kmeans`` seeds are the draws of
-``Generator.choice``, located on block sums and replayed in full only when
-rounding could move them.
+ratio comparisons can be done exactly. Counts come from binary searches over
+sorted values (:func:`sorted_grid_counts`) or from one ``<`` pass per
+interior edge over values in any order (:func:`unsorted_grid_counts`).
+``kmeans`` seeds are the draws of ``Generator.choice``, located on block sums
+and replayed in full only when rounding could move them.
 """
 
 from __future__ import annotations
@@ -76,12 +78,13 @@ def make_grids(values, n_g: int, strategy: str = "uniform", seed: int = 0) -> np
     edges raises DomainError.
     """
     vals = np.asarray(values, dtype=np.float64)
-    return sort_and_make_grids(vals[~np.isnan(vals)], n_g, strategy, seed)
+    return grid_edges(vals[~np.isnan(vals)], n_g, strategy, seed)
 
 
-def sort_and_make_grids(vals: np.ndarray, n_g: int, strategy: str, seed: int) -> np.ndarray:
+def grid_edges(vals: np.ndarray, n_g: int, strategy: str, seed: int) -> np.ndarray:
     """:func:`make_grids` over ``vals``, a feature's present values in row
-    order, which it sorts in place once the edges no longer need that order."""
+    order. ``kmeans`` sorts them in place once seeding no longer needs that
+    order; ``uniform`` and ``quantile`` leave them as they are."""
     if n_g < 2:
         raise ConfigError(f"n_g must be >= 2, got {n_g}")
     if n_g > MAX_GRIDS:
@@ -99,12 +102,10 @@ def sort_and_make_grids(vals: np.ndarray, n_g: int, strategy: str, seed: int) ->
         if strategy == "kmeans":
             centers = _kmeans_1d(vals, n_g, seed)
             edges = np.array([lo, *((a + b) / 2.0 for a, b in pairwise(centers)), hi])
-        else:
-            if strategy == "uniform":
-                edges = np.linspace(lo, hi, n_g + 1)
-            else:
-                edges = np.quantile(vals, np.linspace(0.0, 1.0, n_g + 1))
-            vals.sort()
+        elif strategy == "uniform":
+            edges = np.linspace(lo, hi, n_g + 1)
+        else:  # order statistics by selection, on a copy
+            edges = np.quantile(vals, np.linspace(0.0, 1.0, n_g + 1))
     if not np.isfinite(edges).all():
         raise DomainError(f"values from {lo!r} to {hi!r} give non-finite grid edges")
     return np.unique(edges)
@@ -197,7 +198,8 @@ def _replayed_choice(d2: np.ndarray, r: float, buf: np.ndarray) -> int:
 
 def sorted_grid_counts(edges, s, st, condition_total: int, condition_target: int) -> GridHistogram:
     """:func:`grid_counts` from ``s`` and ``st``, the ascending present values
-    of the condition rows and of its target rows."""
+    of the condition rows and of its target rows: two binary searches per
+    edge, after a sort that costs about log2(len(s)) passes over ``s``."""
     edges = np.asarray(edges, dtype=np.float64)
 
     def per_grid(ascending: np.ndarray) -> list[int]:
@@ -205,6 +207,27 @@ def sorted_grid_counts(edges, s, st, condition_total: int, condition_target: int
         bounds[-1] = np.searchsorted(ascending, edges[-1], side="right")
         return np.diff(bounds).tolist()
 
+    return _histogram(edges, per_grid, s, st, condition_total, condition_target)
+
+
+def unsorted_grid_counts(edges, s, st, condition_total: int, condition_target: int) -> GridHistogram:
+    """:func:`sorted_grid_counts` from ``s`` and ``st`` in any order, every
+    value within [edges[0], edges[-1]]: grid ``i`` holds the values below
+    ``edges[i + 1]`` less those below ``edges[i]``, counted with one ``<``
+    pass per interior edge and no copy or sort of the values."""
+    edges = np.asarray(edges, dtype=np.float64)
+    interior = edges[1:-1].tolist()
+    below = np.empty(len(s), dtype=bool)
+
+    def per_grid(vals: np.ndarray) -> list[int]:
+        out = below[: len(vals)]
+        counts = [np.count_nonzero(np.less(vals, e, out=out)) for e in interior]
+        return np.diff([0, *counts, len(vals)]).tolist()
+
+    return _histogram(edges, per_grid, s, st, condition_total, condition_target)
+
+
+def _histogram(edges, per_grid, s, st, condition_total, condition_target) -> GridHistogram:
     return GridHistogram(
         edges=edges.tolist(),
         target_counts=per_grid(st),

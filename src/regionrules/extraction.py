@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .binning import MAX_GRIDS, STRATEGIES, GridHistogram, merge_grids, share_above
-from .binning import sort_and_make_grids, sorted_grid_counts
+from .binning import grid_edges, sorted_grid_counts, unsorted_grid_counts
 from .binning import grid_counts  # noqa: F401  (unused here; perfbench patches this name)
 from .errors import (
     ConfigError,
@@ -175,21 +175,38 @@ def numeric_histogram(
     config: ExtractionConfig,
 ) -> tuple[GridHistogram, np.ndarray, np.ndarray]:
     """Merged grid histogram of a numeric feature over the ascending ``rows``
-    (``None``: every row), with the ascending present values of those rows
-    and of ``target_rows``, the ascending target rows among them. The column
-    itself is never sorted."""
+    (``None``: every row), with the present values of those rows and of
+    ``target_rows``, the ascending target rows among them.
+
+    The values come back ascending when :func:`_sorts_to_count` holds, and
+    are then counted with binary searches; otherwise they stay in row order
+    and are counted with one comparison pass per interior edge. The column
+    itself is never reordered."""
     vals = col.values
     s = vals if rows is None else vals[rows]
     st = vals[target_rows]
     if col.has_missing:
         s, st = s[~np.isnan(s)], st[~np.isnan(st)]
-    elif rows is None:
+    ascending = _sorts_to_count(config, len(s))
+    if ascending and s is vals:
         s = s.copy()  # sorted in place below
-    edges = sort_and_make_grids(s, config.n_grids, config.strategy, config.seed)
-    st.sort()
-    n = len(vals) if rows is None else len(rows)
-    hist = sorted_grid_counts(edges, s, st, n, len(target_rows))
+    edges = grid_edges(s, config.n_grids, config.strategy, config.seed)
+    n, t = len(vals) if rows is None else len(rows), len(target_rows)
+    if ascending:
+        if config.strategy != "kmeans":  # k-means edges leave ``s`` sorted
+            s.sort()
+        st.sort()
+        hist = sorted_grid_counts(edges, s, st, n, t)
+    else:
+        hist = unsorted_grid_counts(edges, s, st, n, t)
     return merge_grids(hist), s, st
+
+
+def _sorts_to_count(config: ExtractionConfig, n_present: int) -> bool:
+    """Whether a histogram over ``n_present`` values sorts them: ``kmeans``
+    edges need their order, and ``n_grids - 1`` interior edges above
+    log2(n_present) would cost more comparison passes than a sort."""
+    return config.strategy == "kmeans" or n_present < 2 ** (config.n_grids - 1)
 
 
 def _check_condition(condition_total: int, condition_target: int) -> None:
@@ -331,21 +348,30 @@ def _screen_interval(
     hist: GridHistogram,
     grown: GrownInterval,
     min_support: int,
+    ascending: bool,
 ) -> Candidate | None:
     """Re-evaluate a grown grid range of ``hist`` as a closed interval; screen it.
 
     The emitted rule is the inclusive interval [edges[lo], edges[hi+1]], so
-    counts are recomputed from that predicate (they can pick up rows sitting
-    exactly on the top edge); the candidate is kept only if it still clears
-    the support floor with a ratio above 1. This keeps cached statistics
-    identical to any later re-evaluation of the emitted rule. ``s``/``st`` are
-    as returned by :func:`numeric_histogram`.
+    its counts are the range's grids plus, when the top edge is interior, the
+    rows sitting exactly on it (the last grid is closed already); the
+    candidate is kept only if it still clears the support floor with a ratio
+    above 1. This keeps cached statistics identical to any later
+    re-evaluation of the emitted rule. ``s``/``st`` are as returned by
+    :func:`numeric_histogram`: ascending when ``ascending``, else in row order.
     """
-    lo = float(hist.edges[grown.lo_grid])
-    hi = float(hist.edges[grown.hi_grid + 1])
-    n, tp = (
-        int(np.searchsorted(a, hi, side="right") - np.searchsorted(a, lo)) for a in (s, st)
-    )
+    top = grown.hi_grid + 1
+    lo, hi = float(hist.edges[grown.lo_grid]), float(hist.edges[top])
+    n = sum(hist.total_counts[grown.lo_grid : top])
+    tp = sum(hist.target_counts[grown.lo_grid : top])
+
+    def on_top_edge(a: np.ndarray) -> int:
+        if ascending:
+            return int(np.searchsorted(a, hi, side="right") - np.searchsorted(a, hi))
+        return int(np.count_nonzero(a == hi))
+
+    if top < hist.n_grids:  # the histogram put these rows in the next grid
+        n, tp = n + on_top_edge(s), tp + on_top_edge(st)
     cn, ct = hist.condition_total, hist.condition_target
     if n < min_support or tp * cn <= n * ct:  # ratio <= 1, or no row at all
         return None
@@ -367,6 +393,7 @@ def _numeric_candidates(
 ) -> tuple[list[Candidate], tuple]:
     col = table.column(feature)
     merged, s, st = numeric_histogram(col, target_rows, rows, config)
+    ascending = _sorts_to_count(config, len(s))
     ratios = grid_ratios(merged)
 
     grown: dict[tuple[int, int], GrownInterval] = {}
@@ -393,7 +420,7 @@ def _numeric_candidates(
 
     out = []
     for res in grown.values():
-        cand = _screen_interval(feature, s, st, merged, res, config.min_support)
+        cand = _screen_interval(feature, s, st, merged, res, config.min_support, ascending)
         if cand is not None:
             out.append(cand)
     return out, (merged.edges, merged.target_counts, merged.total_counts, ratios)

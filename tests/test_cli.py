@@ -327,15 +327,15 @@ class TestExtract:
 
     def test_each_searched_feature_is_binned_once(self, monkeypatch, tmp_path, capsys):
         # with one rule per set only the root is expanded, and its histograms
-        # are the ones extract prints: one sort-and-bin per numeric feature
+        # are the ones extract prints: one edge build per numeric feature
         calls = []
-        sort_and_make_grids = extraction.sort_and_make_grids
+        grid_edges = extraction.grid_edges
 
         def counted(*args, **kwargs):
             calls.append(args)
-            return sort_and_make_grids(*args, **kwargs)
+            return grid_edges(*args, **kwargs)
 
-        monkeypatch.setattr(extraction, "sort_and_make_grids", counted)
+        monkeypatch.setattr(extraction, "grid_edges", counted)
         out = tmp_path / "rules.json"
         code, _, _ = run(
             capsys, "extract", "--data", FIXTURES / "two_mode.csv",

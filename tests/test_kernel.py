@@ -24,7 +24,7 @@ from regionrules import (
     merge_grids,
 )
 from regionrules import binning
-from regionrules.binning import MAX_GRIDS, sort_and_make_grids
+from regionrules.binning import MAX_GRIDS, grid_edges
 from regionrules.errors import ConfigError, DegenerateFeatureError, DomainError, NoTargetError
 from regionrules.extraction import (
     find_peaks,
@@ -203,6 +203,82 @@ def test_node_histogram_and_screening_match_the_mask_kernel(seed):
             assert get_candidate_rules(table, flags, 0, cond, cfg) == got
 
 
+def edge_column(kind, m, rng):
+    """``m`` present values of one kind, in row order: integers (on uniform
+    edges), integers with NaN cells between them, a range with both signed
+    zeros at its low or high end, or a range of two ulps."""
+    if kind == "tiny range":  # linspace repeats edges that np.unique collapses
+        return 1.0 + rng.integers(0, 3, m) * np.spacing(1.0)
+    if kind.startswith("signed zero"):
+        vals = rng.choice([-0.0, 0.0, 1.0, 2.0, 3.0], m)
+        vals[rng.permutation(m)[:2]] = (-0.0, 0.0)
+        return -vals if kind.endswith("high") else vals
+    vals = rng.integers(-5, 6, m).astype(float)
+    if kind == "nan":
+        vals = np.insert(vals, rng.integers(0, m + 1, m // 10), np.nan)
+    return vals
+
+
+@pytest.mark.parametrize("strategy", ("uniform", "quantile"))
+@pytest.mark.parametrize("kind", ("integers", "nan", "signed zero low", "signed zero high", "tiny range"))
+@pytest.mark.parametrize(
+    "n_grids, m", [(10, 511), (10, 512), (10, 2000), (4, 7), (4, 8), (40, 2000)]
+)
+@pytest.mark.parametrize("subset", (False, True), ids=("all rows", "subset"))
+def test_counting_and_sorting_paths_agree(strategy, kind, n_grids, m, subset):
+    """Either side of the rule (sort when n_grids - 1 > log2 of the present
+    values), a node's histogram and screened candidates equal the sort-based
+    grid counts and the mask-based screen, and the column keeps its order."""
+    rng = np.random.default_rng([n_grids, m, len(kind), subset])
+    vals = edge_column(kind, m, rng)
+    if subset:  # rows outside the node sit between the node's rows
+        rows = np.sort(rng.choice(2 * len(vals), len(vals), replace=False))
+        col = rng.uniform(-9.0, 9.0, 2 * len(vals))
+        col[rows] = vals
+    else:
+        rows, col = np.arange(len(vals)), vals
+    cond = np.zeros(len(col), dtype=bool)
+    cond[rows] = True
+    hot = np.sort(vals[~np.isnan(vals)])[m // 3]  # the target's value, mostly
+    flags = rng.random(len(col)) < np.where(col == hot, 0.9, 0.15)
+    cfg = ExtractionConfig(
+        min_support=2, max_rules=1, n_grids=n_grids, max_branches=MAX_GRIDS, strategy=strategy
+    )
+    table = DataTable((FeatureColumn("x", "numeric", col),))
+    before = col.copy()
+    node_rows = rows if subset else None
+
+    hist, s, st = numeric_histogram(table.column(0), rows[flags[rows]], node_rows, cfg)
+    present = col[cond & ~np.isnan(col)]
+    assert len(s) == m
+    if n_grids - 1 > np.log2(m):
+        assert np.array_equal(s, np.sort(present))
+    else:  # counted in row order, signed zeros as given
+        assert s.tobytes() == present.tobytes()
+    assert col.tobytes() == before.tobytes()
+    edges = make_grids(present, n_grids, strategy)
+    want = merge_grids(grid_counts(edges, col, flags, cond))
+    assert hist == want
+    assert np.asarray(hist.edges).tobytes() == np.asarray(want.edges).tobytes()
+
+    got = get_candidate_rules(table, flags, 0, node_rows, cfg)
+    assert got or m < 10
+    assert col.tobytes() == before.tobytes()
+    for c in got:
+        lo, hi = c.rule.predicate.lo, c.rule.predicate.hi
+        assert (c.support, c.tp) == ref_screen_interval(col, flags, cond, lo, hi)
+    want_set = ref_candidates(col, flags, cond, cfg)[1]
+    assert {(c.rule.predicate.lo, c.rule.predicate.hi, c.support, c.tp) for c in got} == want_set
+    if kind == "integers" and strategy == "uniform" and n_grids <= 10 and m >= 512:
+        # integer edges: some candidate's closed top edge is interior and holds rows
+        in_grids = [
+            sum(n for n, e in zip(hist.total_counts, hist.edges) if c.rule.predicate.lo <= e
+                and e < c.rule.predicate.hi)
+            for c in got
+        ]
+        assert any(c.support > k for c, k in zip(got, in_grids))
+
+
 def test_n_grids_above_the_maximum_is_rejected_before_allocating():
     tracemalloc.start()
     try:
@@ -350,9 +426,11 @@ def test_uniform_values_take_the_located_draw_every_time(seeding):
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
-def test_grids_sort_the_present_values_in_place(strategy):
+def test_only_kmeans_edges_reorder_the_present_values(strategy):
     vals = np.random.default_rng(3).normal(size=1000)
     mine = vals.copy()
-    edges = sort_and_make_grids(mine, 10, strategy, 0)
+    edges = grid_edges(mine, 10, strategy, 0)
     assert edges.tobytes() == make_grids(vals, 10, strategy, 0).tobytes()
-    assert mine.tobytes() == np.sort(vals).tobytes()
+    # Lloyd runs on the sorted values; the other edges need no order
+    want = np.sort(vals) if strategy == "kmeans" else vals
+    assert mine.tobytes() == want.tobytes()

@@ -163,8 +163,14 @@ def test_only_expanded_nodes_select_rows(monkeypatch, max_rules):
 @pytest.mark.parametrize("max_rules", [1, 2, 3])
 def test_search_memory_holds_no_index_array_at_the_root(max_rules):
     n = 200_000
-    table, flags = planted_table(n)
     config = ExtractionConfig(min_support=n // 100, max_rules=max_rules, n_grids=10)
+    # a sorted copy of one column is 8 bytes per row; an index array is 8 more
+    assert search_peak_per_row(n, config) < 12
+
+
+def search_peak_per_row(n, config):
+    """``tracemalloc`` peak per row of one search on the planted table."""
+    table, flags = planted_table(n)
     small, small_flags = planted_table(500, seed=1)
     warm = replace(config, min_support=5)
     extraction.extract_rule_sets(small, small_flags, range(3), warm)  # first-use costs
@@ -174,5 +180,15 @@ def test_search_memory_holds_no_index_array_at_the_root(max_rules):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # a sorted copy of one column is 8 bytes per row; an index array is 8 more
-    assert peak / n < 12
+    return peak / n
+
+
+@pytest.mark.parametrize("max_rules", [1, 2, 3])
+def test_uniform_search_memory_holds_no_column_copy(max_rules):
+    # uniform edges are counted in place: a column copy alone is 8 bytes per
+    # row, where the counts take a one-byte mask and the node's rows
+    n = 200_000
+    config = ExtractionConfig(
+        min_support=n // 100, max_rules=max_rules, n_grids=10, strategy="uniform"
+    )
+    assert search_peak_per_row(n, config) < 5
