@@ -199,7 +199,7 @@ def _replayed_choice(d2: np.ndarray, r: float, buf: np.ndarray) -> int:
 def sorted_grid_counts(edges, s, st, condition_total: int, condition_target: int) -> GridHistogram:
     """:func:`grid_counts` from ``s`` and ``st``, the ascending present values
     of the condition rows and of its target rows: two binary searches per
-    edge, after a sort that costs about log2(len(s)) passes over ``s``."""
+    edge, after a sort that takes about log2(len(s)) passes over ``s``."""
     edges = np.asarray(edges, dtype=np.float64)
 
     def per_grid(ascending: np.ndarray) -> list[int]:
@@ -210,7 +210,9 @@ def sorted_grid_counts(edges, s, st, condition_total: int, condition_target: int
     return _histogram(edges, per_grid, s, st, condition_total, condition_target)
 
 
-def unsorted_grid_counts(edges, s, st, condition_total: int, condition_target: int) -> GridHistogram:
+def unsorted_grid_counts(
+    edges, s, st, condition_total: int, condition_target: int
+) -> GridHistogram:
     """:func:`sorted_grid_counts` from ``s`` and ``st`` in any order, every
     value within [edges[0], edges[-1]]: grid ``i`` holds the values below
     ``edges[i + 1]`` less those below ``edges[i]``, counted with one ``<``
