@@ -5,11 +5,15 @@ the bytes it writes with ``tests/fixtures/golden/<case>.json``. A change that
 moves any byte of ``extract``, ``explain``, ``evaluate`` or
 ``select-features`` output fails here; an intended change regenerates the
 files with ``PYTHONPATH=src python tests/test_golden.py`` and says why.
+The ``extract_blocks_*`` cases read a 200,000-row table that ``synth``
+writes from ``blocks_spec.json`` first, so their root columns span several
+counting blocks.
 """
 
 from __future__ import annotations
 
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -19,6 +23,8 @@ from regionrules.cli import main
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = FIXTURES / "golden"
 TWO_MODE = FIXTURES / "two_mode.csv"
+BLOCKS_SPEC = FIXTURES / "blocks_spec.json"
+BLOCKS = "{blocks}"  # stands for the synthesized table's path in an argv
 
 SEARCH = [
     "--target-column", "label", "--features", "f0,f1",
@@ -44,17 +50,40 @@ CASES = {
     "select_features": [
         "select-features", "--matrix", str(FIXTURES / "importance.csv"),
     ],
+    # 200,000 rows: more than three counting blocks at the root
+    **{
+        f"extract_blocks_{n}": [
+            "extract", "--data", BLOCKS, "--target-column", "label",
+            "--min-support", "1000", "--max-rules", "3", "--n-grids", str(n),
+            "--strategy", "uniform",
+        ]
+        for n in (10, 20)
+    },
 }
 
 
-def run_case(argv: list[str], out: Path) -> bytes:
+def synth_blocks(directory: Path) -> Path:
+    """Write the table of ``blocks_spec.json`` into ``directory``."""
+    out = directory / "blocks.csv"
+    assert main(["synth", "--spec-file", str(BLOCKS_SPEC), "--out", str(out)]) == 0
+    return out
+
+
+def run_case(argv: list[str], out: Path, blocks: Path | None = None) -> bytes:
+    argv = [str(blocks) if a == BLOCKS else a for a in argv]
     assert main([*argv, "--out", str(out)]) == 0
     return out.read_bytes()
 
 
+@pytest.fixture(scope="module")
+def blocks_csv(tmp_path_factory):
+    return synth_blocks(tmp_path_factory.mktemp("blocks"))
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_output_matches_golden_bytes(case, tmp_path, capsys):
-    got = run_case(CASES[case], tmp_path / "out.json")
+def test_output_matches_golden_bytes(case, tmp_path, capsys, request):
+    blocks = request.getfixturevalue("blocks_csv") if BLOCKS in CASES[case] else None
+    got = run_case(CASES[case], tmp_path / "out.json", blocks)
     capsys.readouterr()
     assert got == (GOLDEN / f"{case}.json").read_bytes()
 
@@ -68,6 +97,8 @@ def test_extract_twice_gives_identical_bytes(strategy, tmp_path):
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
-    for name in sorted(CASES, key=lambda c: c != "extract_uniform"):  # evaluate reads it
-        run_case(CASES[name], GOLDEN / f"{name}.json")
-        print(f"wrote {GOLDEN / name}.json", file=sys.stderr)
+    with tempfile.TemporaryDirectory() as tmp:
+        blocks = synth_blocks(Path(tmp))
+        for name in sorted(CASES, key=lambda c: c != "extract_uniform"):  # evaluate reads it
+            run_case(CASES[name], GOLDEN / f"{name}.json", blocks)
+            print(f"wrote {GOLDEN / name}.json", file=sys.stderr)
