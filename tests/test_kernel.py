@@ -27,6 +27,7 @@ from regionrules import binning
 from regionrules.binning import MAX_GRIDS, grid_edges
 from regionrules.errors import ConfigError, DegenerateFeatureError, DomainError, NoTargetError
 from regionrules.extraction import (
+    _sorts_to_count,
     find_peaks,
     gen_feature_interval,
     grid_ratios,
@@ -219,18 +220,37 @@ def edge_column(kind, m, rng):
     return vals
 
 
+def sort_rule(n_grids, m):
+    """The sort-or-count rule, restated: sort when (n_grids - 1) passes of
+    m + 8192 cost more than 2 m log2(m)."""
+    return (n_grids - 1) * (m + 8192) > 2 * m * np.log2(m)
+
+
+# (n_grids, m, counting block size or None for the module's); the original
+# cases keep their ids. 4,775 and 1,377 are the first counted sizes at 10 and
+# 4 grids; a 64-value block splits a node into many blocks and a partial one.
+PATH_CASES = [
+    *(pytest.param(g, m, None, id=f"{g}-{m}") for g, m in [
+        (10, 511), (10, 512), (10, 2000), (4, 7), (4, 8), (40, 2000),
+        (10, 4774), (10, 4775), (4, 1376), (4, 1377),
+    ]),
+    *(pytest.param(g, m, 64, id=f"{g}-{m}-block 64") for g, m in [(10, 4775), (5, 2001)]),
+]
+
+
 @pytest.mark.parametrize("strategy", ("uniform", "quantile"))
 @pytest.mark.parametrize(
     "kind", ("integers", "nan", "signed zero low", "signed zero high", "tiny range")
 )
-@pytest.mark.parametrize(
-    "n_grids, m", [(10, 511), (10, 512), (10, 2000), (4, 7), (4, 8), (40, 2000)]
-)
+@pytest.mark.parametrize("n_grids, m, block", PATH_CASES)
 @pytest.mark.parametrize("subset", (False, True), ids=("all rows", "subset"))
-def test_counting_and_sorting_paths_agree(strategy, kind, n_grids, m, subset):
-    """Either side of the rule (sort when n_grids - 1 > log2 of the present
-    values), a node's histogram and screened candidates equal the sort-based
-    grid counts and the mask-based screen, and the column keeps its order."""
+def test_counting_and_sorting_paths_agree(strategy, kind, n_grids, m, block, subset, monkeypatch):
+    """Either side of the rule (:func:`sort_rule`), and across the seams of
+    small counting blocks, a node's histogram and screened candidates equal
+    the sort-based grid counts and the mask-based screen, and the column
+    keeps its order."""
+    if block is not None:
+        monkeypatch.setattr(binning, "_COUNT_BLOCK", block)
     rng = np.random.default_rng([n_grids, m, len(kind), subset])
     vals = edge_column(kind, m, rng)
     if subset:  # rows outside the node sit between the node's rows
@@ -253,7 +273,8 @@ def test_counting_and_sorting_paths_agree(strategy, kind, n_grids, m, subset):
     hist, s, st = numeric_histogram(table.column(0), rows[flags[rows]], node_rows, cfg)
     present = col[cond & ~np.isnan(col)]
     assert len(s) == m
-    if n_grids - 1 > np.log2(m):
+    if sort_rule(n_grids, m):
+        assert block is None
         assert np.array_equal(s, np.sort(present))
     else:  # counted in row order, signed zeros as given
         assert s.tobytes() == present.tobytes()
@@ -262,6 +283,11 @@ def test_counting_and_sorting_paths_agree(strategy, kind, n_grids, m, subset):
     want = merge_grids(grid_counts(edges, col, flags, cond))
     assert hist == want
     assert np.asarray(hist.edges).tobytes() == np.asarray(want.edges).tobytes()
+    if block is not None:
+        assert len(s) > 20 * block and len(s) % block and len(st) > block
+        if kind == "integers" and strategy == "uniform":  # on interior edges at seams
+            assert np.isin(s[block - 1 :: block], edges[1:-1]).any()
+            assert np.isin(s[block::block], edges[1:-1]).any()
 
     got = get_candidate_rules(table, flags, 0, node_rows, cfg)
     assert got or m < 10
@@ -276,6 +302,49 @@ def test_counting_and_sorting_paths_agree(strategy, kind, n_grids, m, subset):
         # which its support above counted
         tops = [c.rule.predicate.hi for c in got if c.rule.predicate.hi < hist.edges[-1]]
         assert any(np.count_nonzero(present == hi) for hi in tops)
+
+
+# (n_grids, m) -> whether a sort was the faster side, timed per histogram
+MEASURED_FASTER_SORT = {
+    (4, 1024): True, (4, 2048): False, (4, 4096): False,
+    (10, 2048): True, (10, 4096): True, (10, 8192): False, (10, 16384): False,
+    (20, 8192): True, (20, 16384): True, (20, 32768): False,
+}
+
+
+@pytest.mark.parametrize("n_grids, m", sorted(MEASURED_FASTER_SORT))
+def test_the_sort_rule_takes_the_measured_faster_side(n_grids, m):
+    sorts = MEASURED_FASTER_SORT[n_grids, m]
+    for strategy in ("uniform", "quantile"):
+        cfg = ExtractionConfig(min_support=1, max_rules=1, n_grids=n_grids, strategy=strategy)
+        assert _sorts_to_count(cfg, m) is sorts
+        assert sort_rule(n_grids, m) == sorts
+    kmeans = ExtractionConfig(min_support=1, max_rules=1, n_grids=n_grids, strategy="kmeans")
+    assert _sorts_to_count(kmeans, m) and _sorts_to_count(kmeans, 10**9)
+
+
+def test_the_sort_rule_crosses_over_once():
+    cfg = ExtractionConfig(min_support=1, max_rules=1, n_grids=10)
+    assert _sorts_to_count(cfg, 0) and _sorts_to_count(cfg, 1)
+    assert [m for m in range(1, 40_000) if not _sorts_to_count(cfg, m)][0] == 4775
+    assert not any(_sorts_to_count(cfg, m) for m in range(4775, 40_000))
+
+
+def test_counting_scratch_is_one_block():
+    """Counting a 1M-value column allocates one block of bool scratch, not a
+    mask as long as the column."""
+    rng = np.random.default_rng(5)
+    vals = rng.uniform(size=1_000_000)
+    st = vals[rng.random(len(vals)) < 0.1]
+    edges = np.linspace(vals.min(), vals.max(), 11)
+    tracemalloc.start()
+    try:
+        hist = binning.unsorted_grid_counts(edges, vals, st, len(vals), len(st))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * binning._COUNT_BLOCK
+    assert hist == grid_counts(edges, vals, np.isin(vals, st), np.ones(len(vals), dtype=bool))
 
 
 def test_n_grids_above_the_maximum_is_rejected_before_allocating():
