@@ -304,7 +304,8 @@ def test_counting_and_sorting_paths_agree(strategy, kind, n_grids, m, block, sub
         assert any(np.count_nonzero(present == hi) for hi in tops)
 
 
-# (n_grids, m) -> whether a sort was the faster side, timed per histogram
+# (n_grids, m) -> whether a sort was the faster side, timed per histogram at
+# 10% target values (the table is in CHANGES.md)
 MEASURED_FASTER_SORT = {
     (4, 1024): True, (4, 2048): False, (4, 4096): False,
     (10, 2048): True, (10, 4096): True, (10, 8192): False, (10, 16384): False,
@@ -325,9 +326,8 @@ def test_the_sort_rule_takes_the_measured_faster_side(n_grids, m):
 
 def test_the_sort_rule_crosses_over_once():
     cfg = ExtractionConfig(min_support=1, max_rules=1, n_grids=10)
-    assert _sorts_to_count(cfg, 0) and _sorts_to_count(cfg, 1)
-    assert [m for m in range(1, 40_000) if not _sorts_to_count(cfg, m)][0] == 4775
-    assert not any(_sorts_to_count(cfg, m) for m in range(4775, 40_000))
+    counted = [m for m in range(40_000) if not _sorts_to_count(cfg, m)]
+    assert counted == list(range(4775, 40_000))
 
 
 def test_counting_scratch_is_one_block():
