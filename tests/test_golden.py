@@ -37,6 +37,14 @@ def _extract(strategy: str, *extra: str) -> list[str]:
     return ["extract", "--data", str(TWO_MODE), *SEARCH, "--strategy", strategy, *extra]
 
 
+def _blocks(strategy: str, n_grids: int) -> list[str]:
+    return [
+        "extract", "--data", BLOCKS, "--target-column", "label",
+        "--min-support", "1000", "--max-rules", "3", "--n-grids", str(n_grids),
+        "--strategy", strategy,
+    ]
+
+
 # case name -> argv without --out; evaluate reads the stored uniform rules
 CASES = {
     **{f"extract_{s}": _extract(s) for s in STRATEGIES},
@@ -50,15 +58,10 @@ CASES = {
     "select_features": [
         "select-features", "--matrix", str(FIXTURES / "importance.csv"),
     ],
-    # 200,000 rows: more than three counting blocks at the root
-    **{
-        f"extract_blocks_{n}": [
-            "extract", "--data", BLOCKS, "--target-column", "label",
-            "--min-support", "1000", "--max-rules", "3", "--n-grids", str(n),
-            "--strategy", "uniform",
-        ]
-        for n in (10, 20)
-    },
+    # 200,000 rows: more than three counting blocks at the root, and nodes on
+    # both sides of the sort-or-count rule
+    **{f"extract_blocks_{n}": _blocks("uniform", n) for n in (10, 20)},
+    **{f"extract_blocks_{s}_10": _blocks(s, 10) for s in ("quantile", "kmeans")},
 }
 
 
