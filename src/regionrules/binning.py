@@ -2,16 +2,17 @@
 
 Grids are half-open ``[edges[i], edges[i+1])`` except the last one, which is
 closed on the right. All occupancy counts are plain integers so downstream
-ratio comparisons can be done exactly. Counts come from binary searches over
-sorted values (:func:`sorted_grid_counts`) or from one ``<`` pass per
-interior edge over values in any order (:func:`unsorted_grid_counts`), made
-on one cache-sized block of values at a time.
+ratio comparisons can be done exactly. :func:`node_histogram` alone decides
+how a search node's values are counted (binary searches over sorted values,
+or ``<`` passes over cache-sized blocks in row order), and it hands the
+search the merged histogram and an on-edge counter, never the values.
 ``kmeans`` seeds are the draws of ``Generator.choice``, located on block sums
 and replayed in full only when rounding could move them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import pairwise
 
@@ -31,6 +32,8 @@ _HUGE = 2.0**1000
 # values per block of the comparison counts: 512 KiB of float64, which stays
 # in a core's L2 cache while every interior edge's pass reads it
 _COUNT_BLOCK = 1 << 16
+# the fixed cost of one interior edge's counting calls, in values compared
+_PASS_OVERHEAD = 8192
 
 
 @dataclass(frozen=True)
@@ -200,53 +203,80 @@ def _replayed_choice(d2: np.ndarray, r: float, buf: np.ndarray) -> int:
     return int(buf.searchsorted(r, side="right"))
 
 
-def sorted_grid_counts(edges, s, st, condition_total: int, condition_target: int) -> GridHistogram:
-    """:func:`grid_counts` from ``s`` and ``st``, the ascending present values
-    of the condition rows and of its target rows: two binary searches per
-    edge, after a sort that takes about log2(len(s)) passes over ``s``."""
-    edges = np.asarray(edges, dtype=np.float64)
-
-    def per_grid(ascending: np.ndarray) -> list[int]:
-        bounds = np.searchsorted(ascending, edges)
-        bounds[-1] = np.searchsorted(ascending, edges[-1], side="right")
-        return np.diff(bounds).tolist()
-
-    return _histogram(edges, per_grid, s, st, condition_total, condition_target)
-
-
-def unsorted_grid_counts(
-    edges, s, st, condition_total: int, condition_target: int
-) -> GridHistogram:
-    """:func:`sorted_grid_counts` from ``s`` and ``st`` in any order, every
-    value within [edges[0], edges[-1]]: grid ``i`` holds the values below
-    ``edges[i + 1]`` less those below ``edges[i]``, counted with one ``<``
-    pass per interior edge and no copy or sort of the values. The passes run
-    over blocks of ``_COUNT_BLOCK`` values, every edge's pass on one block
-    before the next block, so each value is read from memory once rather
-    than once per edge; the only scratch is one block-long bool buffer."""
-    edges = np.asarray(edges, dtype=np.float64)
-    interior = edges[1:-1].tolist()
-    below = np.empty(min(len(s), _COUNT_BLOCK), dtype=bool)
-
-    def per_grid(vals: np.ndarray) -> list[int]:
-        counts = np.zeros(len(interior), dtype=np.int64)
-        for start in range(0, len(vals), _COUNT_BLOCK):
-            block = vals[start : start + _COUNT_BLOCK]
-            out = below[: len(block)]
-            counts += [np.count_nonzero(np.less(block, e, out=out)) for e in interior]
-        return np.diff([0, *counts.tolist(), len(vals)]).tolist()
-
-    return _histogram(edges, per_grid, s, st, condition_total, condition_target)
-
-
-def _histogram(edges, per_grid, s, st, condition_total, condition_target) -> GridHistogram:
-    return GridHistogram(
+def node_histogram(values, rows, target_rows, has_missing, n_grids, strategy, seed):
+    """The merged grid histogram of column ``values`` over a search node's
+    ascending ``rows`` (``None``: every row) and its ``target_rows``, and
+    ``on_edge(x)``: the ``(rows, target rows)`` of the node whose value is
+    exactly ``x``. Missing values (only when ``has_missing``) are left out of
+    the grids. When :func:`_sorts_to_count` holds, the values are sorted (on
+    a copy, never the column) and counted by binary searches; otherwise they
+    are counted in row order by :func:`_blocked_counts`."""
+    s = values if rows is None else values[rows]
+    st = values[target_rows]
+    if has_missing:
+        s, st = s[~np.isnan(s)], st[~np.isnan(st)]
+    ascending = _sorts_to_count(n_grids, strategy, len(s))
+    if ascending and s is values:
+        s = s.copy()  # sorted in place below
+    edges = grid_edges(s, n_grids, strategy, seed)
+    if ascending:
+        if strategy != "kmeans":  # k-means edges leave ``s`` sorted
+            s.sort()
+        st.sort()
+    count = _sorted_counts if ascending else _blocked_counts
+    hist = GridHistogram(
         edges=edges.tolist(),
-        target_counts=per_grid(st),
-        total_counts=per_grid(s),
-        condition_total=condition_total,
-        condition_target=condition_target,
+        target_counts=count(edges, st),
+        total_counts=count(edges, s),
+        condition_total=len(values) if rows is None else len(rows),
+        condition_target=len(target_rows),
     )
+
+    def on_edge(x: float) -> tuple[int, int]:
+        if ascending:
+            return tuple(int(a.searchsorted(x, "right") - a.searchsorted(x)) for a in (s, st))
+        return int(np.count_nonzero(s == x)), int(np.count_nonzero(st == x))
+
+    return merge_grids(hist), on_edge
+
+
+def _sorts_to_count(n_grids: int, strategy: str, m: int) -> bool:
+    """Whether a histogram over ``m`` present values sorts them.
+
+    ``kmeans`` edges need the order. Otherwise the cheaper way is taken:
+    counting reads the values once per interior edge, plus a fixed
+    ``_PASS_OVERHEAD`` per edge for its numpy calls, and a sort costs about
+    ``2 m log2(m)``. So ``(n_grids - 1) (m + _PASS_OVERHEAD) > 2 m log2(m)``
+    sorts: at 10 grids, below 4,775 values (CHANGES.md has the timings)."""
+    if strategy == "kmeans":
+        return True
+    return (n_grids - 1) * (m + _PASS_OVERHEAD) > 2 * m * math.log2(max(m, 1))
+
+
+def _sorted_counts(edges: np.ndarray, a: np.ndarray) -> list[int]:
+    """Per-grid counts of the ascending values ``a``: two binary searches per
+    edge, after a sort that takes about log2(len(a)) passes over ``a``."""
+    bounds = np.searchsorted(a, edges)
+    bounds[-1] = np.searchsorted(a, edges[-1], side="right")
+    return np.diff(bounds).tolist()
+
+
+def _blocked_counts(edges: np.ndarray, a: np.ndarray) -> list[int]:
+    """:func:`_sorted_counts` of ``a`` in any order, every value within
+    [edges[0], edges[-1]]: grid ``i`` holds the values below ``edges[i + 1]``
+    less those below ``edges[i]``, counted with one ``<`` pass per interior
+    edge and no copy or sort of the values. The passes run over blocks of
+    ``_COUNT_BLOCK`` values, every edge's pass on one block before the next
+    block, so each value is read from memory once rather than once per edge;
+    the only scratch is one block-long bool buffer."""
+    interior = edges[1:-1].tolist()
+    below = np.empty(min(len(a), _COUNT_BLOCK), dtype=bool)
+    counts = np.zeros(len(interior), dtype=np.int64)
+    for start in range(0, len(a), _COUNT_BLOCK):
+        block = a[start : start + _COUNT_BLOCK]
+        out = below[: len(block)]
+        counts += [np.count_nonzero(np.less(block, e, out=out)) for e in interior]
+    return np.diff([0, *counts.tolist(), len(a)]).tolist()
 
 
 def grid_counts(edges, feature_values, target_flags, condition_mask) -> GridHistogram:
@@ -255,13 +285,18 @@ def grid_counts(edges, feature_values, target_flags, condition_mask) -> GridHist
     Rows missing the feature are skipped; values exactly equal to the top
     edge land in the last grid.
     """
+    edges = np.asarray(edges, dtype=np.float64)
     vals = np.asarray(feature_values, dtype=np.float64)
     target = np.asarray(target_flags, dtype=bool)
     cond = np.asarray(condition_mask, dtype=bool)
     present = cond & ~np.isnan(vals)
-    s, st = np.sort(vals[present]), np.sort(vals[present & target])
-    n, t = int(cond.sum()), int((cond & target).sum())
-    return sorted_grid_counts(edges, s, st, n, t)
+    return GridHistogram(
+        edges=edges.tolist(),
+        target_counts=_sorted_counts(edges, np.sort(vals[present & target])),
+        total_counts=_sorted_counts(edges, np.sort(vals[present])),
+        condition_total=int(cond.sum()),
+        condition_target=int((cond & target).sum()),
+    )
 
 
 def merge_grids(hist: GridHistogram) -> GridHistogram:

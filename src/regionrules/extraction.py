@@ -5,7 +5,9 @@ probability ratio (target share over overall share, conditioned on the rules
 already chosen) and explores the best candidates breadth-first in a K-branch
 tree. All ranking comparisons are exact: counts stay integers, ratios are
 compared by integer cross-multiplication and reported as
-:class:`fractions.Fraction`.
+:class:`fractions.Fraction`. A numeric feature's values reach the search only
+through :func:`~regionrules.binning.node_histogram`: its merged histogram,
+and its count of the node's rows on an interval's top edge.
 """
 
 from __future__ import annotations
@@ -13,12 +15,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .binning import MAX_GRIDS, STRATEGIES, GridHistogram, merge_grids, share_above
-from .binning import grid_edges, sorted_grid_counts, unsorted_grid_counts
+from .binning import MAX_GRIDS, STRATEGIES, GridHistogram, node_histogram, share_above
 from .binning import grid_counts  # noqa: F401  (unused here; perfbench patches this name)
 from .errors import (
     ConfigError,
@@ -30,15 +31,17 @@ from .errors import (
     SchemaError,
     ZeroSupportError,
 )
-from .tabular import CATEGORICAL, NUMERIC, DataTable, FeatureColumn, target_flags
+from .tabular import CATEGORICAL, NUMERIC, DataTable, target_flags
 
 _NO_SAMPLE = object()
-# the fixed cost of one interior edge's counting calls, in values compared
-_PASS_OVERHEAD = 8192
 
 
-def _is_missing_value(v) -> bool:
-    return v is None or (isinstance(v, float) and math.isnan(v))
+def _is_missing_value(v, numeric: bool) -> bool:
+    """``None``, float NaN, and for a numeric feature text such as ``"nan"``."""
+    try:
+        return v is None or (math.isnan(float(v)) and (numeric or isinstance(v, float)))
+    except (TypeError, ValueError, OverflowError):
+        return False  # not a number: rejected after the missing values
 
 
 # ---------------------------------------------------------------------------
@@ -167,54 +170,7 @@ def rule_set_mask(table: DataTable, rules: Iterable[Rule]) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Histograms, ratios, peaks, interval growth
-
-
-def numeric_histogram(
-    col: FeatureColumn,
-    target_rows: np.ndarray,
-    rows: np.ndarray | None,
-    config: ExtractionConfig,
-) -> tuple[GridHistogram, np.ndarray, np.ndarray]:
-    """Merged grid histogram of a numeric feature over the ascending ``rows``
-    (``None``: every row), with the present values of those rows and of
-    ``target_rows``, the ascending target rows among them.
-
-    The values come back ascending when :func:`_sorts_to_count` holds, and
-    are then counted with binary searches; otherwise they stay in row order
-    and are counted with one comparison pass per interior edge. The column
-    itself is never reordered."""
-    vals = col.values
-    s = vals if rows is None else vals[rows]
-    st = vals[target_rows]
-    if col.has_missing:
-        s, st = s[~np.isnan(s)], st[~np.isnan(st)]
-    ascending = _sorts_to_count(config, len(s))
-    if ascending and s is vals:
-        s = s.copy()  # sorted in place below
-    edges = grid_edges(s, config.n_grids, config.strategy, config.seed)
-    n, t = len(vals) if rows is None else len(rows), len(target_rows)
-    if ascending:
-        if config.strategy != "kmeans":  # k-means edges leave ``s`` sorted
-            s.sort()
-        st.sort()
-        hist = sorted_grid_counts(edges, s, st, n, t)
-    else:
-        hist = unsorted_grid_counts(edges, s, st, n, t)
-    return merge_grids(hist), s, st
-
-
-def _sorts_to_count(config: ExtractionConfig, m: int) -> bool:
-    """Whether a histogram over ``m`` present values sorts them.
-
-    ``kmeans`` edges need the order. Otherwise the cheaper way is taken:
-    counting reads the values once per interior edge, plus a fixed
-    ``_PASS_OVERHEAD`` per edge for its numpy calls, and a sort costs about
-    ``2 m log2(m)``. So ``(n_grids - 1) (m + _PASS_OVERHEAD) > 2 m log2(m)``
-    sorts: at 10 grids, below 4,775 values (CHANGES.md has the timings)."""
-    if config.strategy == "kmeans":
-        return True
-    return (config.n_grids - 1) * (m + _PASS_OVERHEAD) > 2 * m * math.log2(max(m, 1))
+# Ratios, peaks, interval growth
 
 
 def _check_condition(condition_total: int, condition_target: int) -> None:
@@ -351,12 +307,10 @@ class Candidate:
 
 def _screen_interval(
     feature: int,
-    s: np.ndarray,
-    st: np.ndarray,
     hist: GridHistogram,
     grown: GrownInterval,
     min_support: int,
-    ascending: bool,
+    on_edge: Callable[[float], tuple[int, int]],
 ) -> Candidate | None:
     """Re-evaluate a grown grid range of ``hist`` as a closed interval; screen it.
 
@@ -365,21 +319,16 @@ def _screen_interval(
     rows sitting exactly on it (the last grid is closed already); the
     candidate is kept only if it still clears the support floor with a ratio
     above 1. This keeps cached statistics identical to any later
-    re-evaluation of the emitted rule. ``s``/``st`` are as returned by
-    :func:`numeric_histogram`: ascending when ``ascending``, else in row order.
+    re-evaluation of the emitted rule. ``on_edge`` is the node's counter from
+    :func:`~regionrules.binning.node_histogram`.
     """
     top = grown.hi_grid + 1
     lo, hi = float(hist.edges[grown.lo_grid]), float(hist.edges[top])
     n = sum(hist.total_counts[grown.lo_grid : top])
     tp = sum(hist.target_counts[grown.lo_grid : top])
-
-    def on_top_edge(a: np.ndarray) -> int:
-        if ascending:
-            return int(np.searchsorted(a, hi, side="right") - np.searchsorted(a, hi))
-        return int(np.count_nonzero(a == hi))
-
     if top < hist.n_grids:  # the histogram put these rows in the next grid
-        n, tp = n + on_top_edge(s), tp + on_top_edge(st)
+        edge_n, edge_tp = on_edge(hi)
+        n, tp = n + edge_n, tp + edge_tp
     cn, ct = hist.condition_total, hist.condition_target
     if n < min_support or tp * cn <= n * ct:  # ratio <= 1, or no row at all
         return None
@@ -400,8 +349,10 @@ def _numeric_candidates(
     sample_value=_NO_SAMPLE,
 ) -> tuple[list[Candidate], tuple]:
     col = table.column(feature)
-    merged, s, st = numeric_histogram(col, target_rows, rows, config)
-    ascending = _sorts_to_count(config, len(s))
+    merged, on_edge = node_histogram(
+        col.values, rows, target_rows, col.has_missing,
+        config.n_grids, config.strategy, config.seed,
+    )
     ratios = grid_ratios(merged)
 
     grown: dict[tuple[int, int], GrownInterval] = {}
@@ -428,7 +379,7 @@ def _numeric_candidates(
 
     out = []
     for res in grown.values():
-        cand = _screen_interval(feature, s, st, merged, res, config.min_support, ascending)
+        cand = _screen_interval(feature, merged, res, config.min_support, on_edge)
         if cand is not None:
             out.append(cand)
     return out, (merged.edges, merged.target_counts, merged.total_counts, ratios)
@@ -649,7 +600,10 @@ def build_rule_tree(
         table, target, feature_set, config.min_support
     )
     if samples is not None:
-        missing = [f for f in features if f not in samples or _is_missing_value(samples[f])]
+        missing = [
+            f for f in features
+            if f not in samples or _is_missing_value(samples[f], table.column(f).kind == NUMERIC)
+        ]
         if missing:
             names = [table.column(f).name for f in sorted(missing)]
             raise ConfigError(f"sample lacks values for features {names}")

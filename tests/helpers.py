@@ -10,7 +10,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from regionrules import DataTable, FeatureColumn, FrequentItemset, TargetIndicator
+from regionrules import DataTable, FeatureColumn, FrequentItemset, TargetIndicator, binning
 from regionrules.attribution import DEFAULT_COVERAGE, ImportanceMatrix, _required_rows
 from regionrules.errors import (
     EmptyMatrixError,
@@ -21,6 +21,15 @@ from regionrules.errors import (
 )
 from regionrules.extraction import ExtractionConfig
 from regionrules.tabular import KINDS, NUMERIC, target_flags
+
+
+def column_histogram(col: FeatureColumn, target_rows, rows, config: ExtractionConfig):
+    """:func:`binning.node_histogram` of one numeric column over ``rows``
+    (``None``: every row), binned as ``config`` says."""
+    return binning.node_histogram(
+        col.values, rows, target_rows, col.has_missing,
+        config.n_grids, config.strategy, config.seed,
+    )
 
 
 def numeric_table(values, name: str = "x") -> DataTable:

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from regionrules import cli, errors, extraction
+from regionrules import binning, cli, errors
 from regionrules.cli import main
 from regionrules.synth import MAX_ROWS
 
@@ -329,13 +329,13 @@ class TestExtract:
         # with one rule per set only the root is expanded, and its histograms
         # are the ones extract prints: one edge build per numeric feature
         calls = []
-        grid_edges = extraction.grid_edges
+        grid_edges = binning.grid_edges
 
         def counted(*args, **kwargs):
             calls.append(args)
             return grid_edges(*args, **kwargs)
 
-        monkeypatch.setattr(extraction, "grid_edges", counted)
+        monkeypatch.setattr(binning, "grid_edges", counted)
         out = tmp_path / "rules.json"
         code, _, _ = run(
             capsys, "extract", "--data", FIXTURES / "two_mode.csv",
@@ -431,6 +431,15 @@ class TestExplain:
 
     def test_sample_lacking_a_feature_names_it(self, tmp_path, capsys):
         code, out, err = self.explain_sample(capsys, tmp_path, {"f1": 0.5})
+        assert (code, out) == (1, "")
+        assert one_error_line(err) == "ConfigError"
+        assert json.loads(err)["message"] == "sample lacks values for features ['f0']"
+
+    @pytest.mark.parametrize("text", ["nan", "NaN"])
+    def test_sample_value_that_reads_as_nan_is_missing(self, tmp_path, capsys, text):
+        # as JSON NaN and a blank --row-index cell are, not a value clamped
+        # to the top grid
+        code, out, err = self.explain_sample(capsys, tmp_path, {"f0": text, "f1": "0.5"})
         assert (code, out) == (1, "")
         assert one_error_line(err) == "ConfigError"
         assert json.loads(err)["message"] == "sample lacks values for features ['f0']"

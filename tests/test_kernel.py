@@ -24,17 +24,12 @@ from regionrules import (
     merge_grids,
 )
 from regionrules import binning
-from regionrules.binning import MAX_GRIDS, grid_edges
+from regionrules.binning import MAX_GRIDS, _sorts_to_count, grid_edges
 from regionrules.errors import ConfigError, DegenerateFeatureError, DomainError, NoTargetError
-from regionrules.extraction import (
-    _sorts_to_count,
-    find_peaks,
-    gen_feature_interval,
-    grid_ratios,
-    numeric_histogram,
-)
+from regionrules.extraction import find_peaks, gen_feature_interval, grid_ratios
 
 from helpers import (
+    column_histogram,
     random_config,
     random_table,
     ref_gen_feature_interval,
@@ -192,7 +187,7 @@ def test_node_histogram_and_screening_match_the_mask_kernel(seed):
                 with pytest.raises(type(exc)):
                     get_candidate_rules(table, flags, 0, rows, cfg)
                 continue
-            hist = numeric_histogram(table.column(0), rows[flags[rows]], rows, cfg)[0]
+            hist = column_histogram(table.column(0), rows[flags[rows]], rows, cfg)[0]
             assert hist == want_hist
             # plain ints: numpy integers cannot hash the exact ratios built on them
             assert type(hist.condition_total) is type(hist.condition_target) is int
@@ -246,11 +241,24 @@ PATH_CASES = [
 @pytest.mark.parametrize("subset", (False, True), ids=("all rows", "subset"))
 def test_counting_and_sorting_paths_agree(strategy, kind, n_grids, m, block, subset, monkeypatch):
     """Either side of the rule (:func:`sort_rule`), and across the seams of
-    small counting blocks, a node's histogram and screened candidates equal
-    the sort-based grid counts and the mask-based screen, and the column
-    keeps its order."""
+    small counting blocks, a node's histogram, on-edge counts and screened
+    candidates equal the sort-based grid counts, the ``==`` counts and the
+    mask-based screen, and the column keeps its order."""
     if block is not None:
         monkeypatch.setattr(binning, "_COUNT_BLOCK", block)
+    counted = []  # (counter, values) per call, target values first
+
+    def spy(name):
+        counter = getattr(binning, name)
+
+        def spied(edges, a):
+            counted.append((name, a.copy()))
+            return counter(edges, a)
+
+        monkeypatch.setattr(binning, name, spied)
+
+    spy("_sorted_counts")
+    spy("_blocked_counts")
     rng = np.random.default_rng([n_grids, m, len(kind), subset])
     vals = edge_column(kind, m, rng)
     if subset:  # rows outside the node sit between the node's rows
@@ -270,19 +278,27 @@ def test_counting_and_sorting_paths_agree(strategy, kind, n_grids, m, block, sub
     before = col.copy()
     node_rows = rows if subset else None
 
-    hist, s, st = numeric_histogram(table.column(0), rows[flags[rows]], node_rows, cfg)
+    hist, on_edge = column_histogram(table.column(0), rows[flags[rows]], node_rows, cfg)
     present = col[cond & ~np.isnan(col)]
-    assert len(s) == m
+    present_target = col[cond & ~np.isnan(col) & flags]
+    ((counter, st), (same, s)) = counted
+    assert counter == same and len(s) == m and len(st) == len(present_target)
     if sort_rule(n_grids, m):
-        assert block is None
+        assert block is None and counter == "_sorted_counts"
         assert np.array_equal(s, np.sort(present))
+        assert np.array_equal(st, np.sort(present_target))
     else:  # counted in row order, signed zeros as given
+        assert counter == "_blocked_counts"
         assert s.tobytes() == present.tobytes()
+        assert st.tobytes() == present_target.tobytes()
     assert col.tobytes() == before.tobytes()
     edges = make_grids(present, n_grids, strategy)
     want = merge_grids(grid_counts(edges, col, flags, cond))
     assert hist == want
     assert np.asarray(hist.edges).tobytes() == np.asarray(want.edges).tobytes()
+    for e in edges:
+        want_on_edge = (np.count_nonzero(present == e), np.count_nonzero(present_target == e))
+        assert on_edge(e) == want_on_edge
     if block is not None:
         assert len(s) > 20 * block and len(s) % block and len(st) > block
         if kind == "integers" and strategy == "uniform":  # on interior edges at seams
@@ -317,16 +333,13 @@ MEASURED_FASTER_SORT = {
 def test_the_sort_rule_takes_the_measured_faster_side(n_grids, m):
     sorts = MEASURED_FASTER_SORT[n_grids, m]
     for strategy in ("uniform", "quantile"):
-        cfg = ExtractionConfig(min_support=1, max_rules=1, n_grids=n_grids, strategy=strategy)
-        assert _sorts_to_count(cfg, m) is sorts
+        assert _sorts_to_count(n_grids, strategy, m) is sorts
         assert sort_rule(n_grids, m) == sorts
-    kmeans = ExtractionConfig(min_support=1, max_rules=1, n_grids=n_grids, strategy="kmeans")
-    assert _sorts_to_count(kmeans, m) and _sorts_to_count(kmeans, 10**9)
+    assert _sorts_to_count(n_grids, "kmeans", m) and _sorts_to_count(n_grids, "kmeans", 10**9)
 
 
 def test_the_sort_rule_crosses_over_once():
-    cfg = ExtractionConfig(min_support=1, max_rules=1, n_grids=10)
-    counted = [m for m in range(40_000) if not _sorts_to_count(cfg, m)]
+    counted = [m for m in range(40_000) if not _sorts_to_count(10, "uniform", m)]
     assert counted == list(range(4775, 40_000))
 
 
@@ -339,12 +352,13 @@ def test_counting_scratch_is_one_block():
     edges = np.linspace(vals.min(), vals.max(), 11)
     tracemalloc.start()
     try:
-        hist = binning.unsorted_grid_counts(edges, vals, st, len(vals), len(st))
+        counts = binning._blocked_counts(edges, vals), binning._blocked_counts(edges, st)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 2 * binning._COUNT_BLOCK
-    assert hist == grid_counts(edges, vals, np.isin(vals, st), np.ones(len(vals), dtype=bool))
+    want = grid_counts(edges, vals, np.isin(vals, st), np.ones(len(vals), dtype=bool))
+    assert counts == (list(want.total_counts), list(want.target_counts))
 
 
 def test_n_grids_above_the_maximum_is_rejected_before_allocating():
