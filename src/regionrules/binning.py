@@ -4,7 +4,7 @@ Grids are half-open ``[edges[i], edges[i+1])`` except the last one, which is
 closed on the right. All occupancy counts are plain integers so downstream
 ratio comparisons can be done exactly. :func:`node_histogram` alone decides
 how a search node's values are counted (binary searches over sorted values,
-or ``<`` passes over cache-sized blocks in row order), and it hands the
+or comparison passes over cache-sized blocks in any order), and it hands the
 search the merged histogram and an on-edge counter, never the values.
 ``kmeans`` seeds are the draws of ``Generator.choice``, located on block sums
 and replayed in full only when rounding could move them.
@@ -91,7 +91,7 @@ def make_grids(values, n_g: int, strategy: str = "uniform", seed: int = 0) -> np
 def grid_edges(vals: np.ndarray, n_g: int, strategy: str, seed: int) -> np.ndarray:
     """:func:`make_grids` over ``vals``, a feature's present values in row
     order. ``kmeans`` sorts them in place once seeding no longer needs that
-    order; ``uniform`` and ``quantile`` leave them as they are."""
+    order, ``quantile`` reorders them as it selects, ``uniform`` not at all."""
     if n_g < 2:
         raise ConfigError(f"n_g must be >= 2, got {n_g}")
     if n_g > MAX_GRIDS:
@@ -111,8 +111,8 @@ def grid_edges(vals: np.ndarray, n_g: int, strategy: str, seed: int) -> np.ndarr
             edges = np.array([lo, *((a + b) / 2.0 for a, b in pairwise(centers)), hi])
         elif strategy == "uniform":
             edges = np.linspace(lo, hi, n_g + 1)
-        else:  # order statistics by selection, on a copy
-            edges = np.quantile(vals, np.linspace(0.0, 1.0, n_g + 1))
+        else:  # order statistics by selection in place
+            edges = np.quantile(vals, np.linspace(0.0, 1.0, n_g + 1), overwrite_input=True)
     if not np.isfinite(edges).all():
         raise DomainError(f"values from {lo!r} to {hi!r} give non-finite grid edges")
     return np.unique(edges)
@@ -208,16 +208,17 @@ def node_histogram(values, rows, target_rows, has_missing, n_grids, strategy, se
     ascending ``rows`` (``None``: every row) and its ``target_rows``, and
     ``on_edge(x)``: the ``(rows, target rows)`` of the node whose value is
     exactly ``x``. Missing values (only when ``has_missing``) are left out of
-    the grids. When :func:`_sorts_to_count` holds, the values are sorted (on
-    a copy, never the column) and counted by binary searches; otherwise they
-    are counted in row order by :func:`_blocked_counts`."""
+    the grids. When :func:`_sorts_to_count` holds, the values are sorted and
+    both are counted by binary searches, else by :func:`_passes` in any order.
+    The column is copied only for a node that reorders it (a sort, ``kmeans``
+    or ``quantile``); a gathered or compressed array is the node's own."""
     s = values if rows is None else values[rows]
     st = values[target_rows]
     if has_missing:
         s, st = s[~np.isnan(s)], st[~np.isnan(st)]
     ascending = _sorts_to_count(n_grids, strategy, len(s))
-    if ascending and s is values:
-        s = s.copy()  # sorted in place below
+    if s is values and (ascending or strategy == "quantile"):
+        s = s.copy()  # reordered in place below
     edges = grid_edges(s, n_grids, strategy, seed)
     if ascending:
         if strategy != "kmeans":  # k-means edges leave ``s`` sorted
@@ -234,20 +235,18 @@ def node_histogram(values, rows, target_rows, has_missing, n_grids, strategy, se
 
     def on_edge(x: float) -> tuple[int, int]:
         if ascending:
-            return tuple(int(a.searchsorted(x, "right") - a.searchsorted(x)) for a in (s, st))
-        return int(np.count_nonzero(s == x)), int(np.count_nonzero(st == x))
+            return tuple(_sorted_counts(np.array([x, x]), a)[0] for a in (s, st))
+        return tuple(_passes(np.equal, [x], a)[0] for a in (s, st))
 
     return merge_grids(hist), on_edge
 
 
 def _sorts_to_count(n_grids: int, strategy: str, m: int) -> bool:
-    """Whether a histogram over ``m`` present values sorts them.
-
-    ``kmeans`` edges need the order. Otherwise the cheaper way is taken:
-    counting reads the values once per interior edge, plus a fixed
-    ``_PASS_OVERHEAD`` per edge for its numpy calls, and a sort costs about
-    ``2 m log2(m)``. So ``(n_grids - 1) (m + _PASS_OVERHEAD) > 2 m log2(m)``
-    sorts: at 10 grids, below 4,775 values (CHANGES.md has the timings)."""
+    """Whether a histogram over ``m`` present values sorts them: always for
+    ``kmeans``, whose edges need the order, else when that is cheaper.
+    Counting reads the values once per interior edge, plus ``_PASS_OVERHEAD``
+    per edge for its numpy calls, and a sort costs about ``2 m log2(m)``: at
+    10 grids, below 4,775 values sort (CHANGES.md has the timings)."""
     if strategy == "kmeans":
         return True
     return (n_grids - 1) * (m + _PASS_OVERHEAD) > 2 * m * math.log2(max(m, 1))
@@ -258,25 +257,30 @@ def _sorted_counts(edges: np.ndarray, a: np.ndarray) -> list[int]:
     edge, after a sort that takes about log2(len(a)) passes over ``a``."""
     bounds = np.searchsorted(a, edges)
     bounds[-1] = np.searchsorted(a, edges[-1], side="right")
-    return np.diff(bounds).tolist()
+    return [hi - lo for lo, hi in pairwise(bounds.tolist())]
 
 
 def _blocked_counts(edges: np.ndarray, a: np.ndarray) -> list[int]:
     """:func:`_sorted_counts` of ``a`` in any order, every value within
     [edges[0], edges[-1]]: grid ``i`` holds the values below ``edges[i + 1]``
-    less those below ``edges[i]``, counted with one ``<`` pass per interior
-    edge and no copy or sort of the values. The passes run over blocks of
-    ``_COUNT_BLOCK`` values, every edge's pass on one block before the next
-    block, so each value is read from memory once rather than once per edge;
-    the only scratch is one block-long bool buffer."""
-    interior = edges[1:-1].tolist()
-    below = np.empty(min(len(a), _COUNT_BLOCK), dtype=bool)
-    counts = np.zeros(len(interior), dtype=np.int64)
+    less those below ``edges[i]``, counted by ``<`` :func:`_passes`."""
+    below = [0, *_passes(np.less, edges[1:-1].tolist(), a), len(a)]
+    return [hi - lo for lo, hi in pairwise(below)]
+
+
+def _passes(op, xs: list[float], a: np.ndarray) -> list[int]:
+    """For each ``x`` of ``xs``, how many values ``v`` of ``a`` have
+    ``op(v, x)`` (``np.less`` or ``np.equal``), with no copy or sort of ``a``.
+    The passes run over blocks of ``_COUNT_BLOCK`` values, every ``x``'s pass
+    on one block before the next, so each value is read from memory once, not
+    once per ``x``; the only scratch is one block-long bool buffer."""
+    buf = np.empty(min(len(a), _COUNT_BLOCK), dtype=bool)
+    counts = [0] * len(xs)
     for start in range(0, len(a), _COUNT_BLOCK):
         block = a[start : start + _COUNT_BLOCK]
-        out = below[: len(block)]
-        counts += [np.count_nonzero(np.less(block, e, out=out)) for e in interior]
-    return np.diff([0, *counts.tolist(), len(a)]).tolist()
+        out = buf[: len(block)]
+        counts = [c + int(np.count_nonzero(op(block, x, out=out))) for c, x in zip(counts, xs)]
+    return counts
 
 
 def grid_counts(edges, feature_values, target_flags, condition_mask) -> GridHistogram:

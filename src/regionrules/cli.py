@@ -62,6 +62,7 @@ from .tabular import (
     TargetIndicator,
     load_csv,
     make_target,
+    read_text,
     roc_threshold,
 )
 
@@ -85,31 +86,18 @@ class _Parser(argparse.ArgumentParser):
                 raise ConfigError(f"config key {key!r}: cannot parse {raw!r}") from None
 
 
-def _side_text(path: str) -> str:
-    """A side file's text: UTF-8 after one optional BOM, as ``read_csv``
-    reads a table; undecodable bytes are a ParseError."""
-    data = Path(path).read_bytes()
-    bom = 3 if data.startswith(b"\xef\xbb\xbf") else 0
-    try:
-        return str(data[bom:], "utf-8")
-    except UnicodeDecodeError as exc:  # offsets count the BOM
-        at = bom + exc.start
-        raise ParseError(f"{path} is not UTF-8: {exc.reason} at byte {at}") from None
-
-
 def _side_json(path: str):
     """A side file's JSON value; malformed or too deeply nested JSON is a
     ParseError."""
-    text = _side_text(path)
     try:
-        return json.loads(text)
+        return json.loads(read_text(path))
     except (ValueError, RecursionError) as exc:
         raise ParseError(f"{path} is not readable JSON: {exc}") from None
 
 
 def _load_config_file(path: str) -> dict:
     out = {}
-    for lineno, raw in enumerate(_side_text(path).splitlines(), 1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

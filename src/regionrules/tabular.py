@@ -242,6 +242,13 @@ def read_csv(path, empty_message: str):
             raise
 
 
+def read_text(path) -> str:
+    """The text of a UTF-8 file, read as :func:`read_csv` reads a table: one
+    BOM is skipped, and an undecodable byte is a ParseError at its offset."""
+    with open(path, "rb") as fh:
+        return "".join(str(memoryview(buf)[lo:hi], "utf-8") for buf, lo, hi in _windows(fh, path))
+
+
 def _windows(fh, path):
     """``fh`` in windows of whole lines, about ``_WINDOW`` bytes each, as
     ``(buf, lo, hi)``: ``buf[lo:hi]`` holds them until the next window is

@@ -215,6 +215,12 @@ def edge_column(kind, m, rng):
     return vals
 
 
+def same_values(a, b):
+    """Whether ``a`` and ``b`` hold the same values in any order, bit for bit
+    (so ``-0.0`` and ``0.0`` differ)."""
+    return np.array_equal(np.sort(a.view(np.uint64)), np.sort(b.view(np.uint64)))
+
+
 def sort_rule(n_grids, m):
     """The sort-or-count rule, restated: sort when (n_grids - 1) passes of
     m + 8192 cost more than 2 m log2(m)."""
@@ -287,9 +293,12 @@ def test_counting_and_sorting_paths_agree(strategy, kind, n_grids, m, block, sub
         assert block is None and counter == "_sorted_counts"
         assert np.array_equal(s, np.sort(present))
         assert np.array_equal(st, np.sort(present_target))
-    else:  # counted in row order, signed zeros as given
+    else:  # counted as given, signed zeros too; quantile edges reorder ``s``
         assert counter == "_blocked_counts"
-        assert s.tobytes() == present.tobytes()
+        if strategy == "uniform":
+            assert s.tobytes() == present.tobytes()
+        else:
+            assert same_values(s, present)
         assert st.tobytes() == present_target.tobytes()
     assert col.tobytes() == before.tobytes()
     edges = make_grids(present, n_grids, strategy)
@@ -344,21 +353,55 @@ def test_the_sort_rule_crosses_over_once():
 
 
 def test_counting_scratch_is_one_block():
-    """Counting a 1M-value column allocates one block of bool scratch, not a
-    mask as long as the column."""
+    """Counting a 1M-value column, and its rows on one interior edge,
+    allocates one block of bool scratch, not a mask as long as the column."""
     rng = np.random.default_rng(5)
     vals = rng.uniform(size=1_000_000)
-    st = vals[rng.random(len(vals)) < 0.1]
+    target_rows = np.flatnonzero(rng.random(len(vals)) < 0.1)
     edges = np.linspace(vals.min(), vals.max(), 11)
+    vals[:1000] = edges[5]  # rows on the edge, a few of them target rows
+    st = vals[target_rows]
+    _, on_edge = binning.node_histogram(vals, None, target_rows, False, 10, "uniform", 0)
     tracemalloc.start()
     try:
         counts = binning._blocked_counts(edges, vals), binning._blocked_counts(edges, st)
+        on = on_edge(edges[5])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 2 * binning._COUNT_BLOCK
-    want = grid_counts(edges, vals, np.isin(vals, st), np.ones(len(vals), dtype=bool))
+    flags = np.zeros(len(vals), dtype=bool)
+    flags[target_rows] = True
+    want = grid_counts(edges, vals, flags, np.ones(len(vals), dtype=bool))
     assert counts == (list(want.total_counts), list(want.target_counts))
+    assert on == (np.count_nonzero(vals == edges[5]), np.count_nonzero(st == edges[5])) and on[1]
+
+
+@pytest.mark.parametrize("strategy", ("uniform", "quantile"))
+def test_a_counted_node_holds_its_values_once(strategy):
+    """Below the root, a counted node's gathered values are its only copy:
+    ``quantile`` edges select in place rather than on a second copy."""
+    rng = np.random.default_rng(6)
+    vals = rng.normal(size=1_000_000)
+    rows = np.sort(rng.choice(len(vals), 100_000, replace=False))
+    target_rows = rows[rng.random(len(rows)) < 0.1]
+    before = vals.copy()
+    binning.node_histogram(np.arange(100.0), None, [0], False, 10, strategy, 0)  # first-use costs
+    tracemalloc.start()
+    try:
+        hist, _ = binning.node_histogram(vals, rows, target_rows, False, 10, strategy, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not _sorts_to_count(10, strategy, len(rows))
+    assert peak < 12 * len(rows)  # the gathered values alone are 8 bytes per row
+    cond = np.zeros(len(vals), dtype=bool)
+    cond[rows] = True
+    flags = np.zeros(len(vals), dtype=bool)
+    flags[target_rows] = True
+    want = grid_counts(make_grids(vals[rows], 10, strategy), vals, flags, cond)
+    assert hist == merge_grids(want)
+    assert vals.tobytes() == before.tobytes()
 
 
 def test_n_grids_above_the_maximum_is_rejected_before_allocating():
@@ -508,11 +551,15 @@ def test_uniform_values_take_the_located_draw_every_time(seeding):
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
-def test_only_kmeans_edges_reorder_the_present_values(strategy):
+def test_grid_edges_reorder_only_quantile_and_kmeans_values(strategy):
     vals = np.random.default_rng(3).normal(size=1000)
     mine = vals.copy()
     edges = grid_edges(mine, 10, strategy, 0)
     assert edges.tobytes() == make_grids(vals, 10, strategy, 0).tobytes()
-    # Lloyd runs on the sorted values; the other edges need no order
-    want = np.sort(vals) if strategy == "kmeans" else vals
-    assert mine.tobytes() == want.tobytes()
+    # uniform edges need no order; quantile edges select in place, and Lloyd
+    # runs on the sorted values
+    if strategy == "quantile":
+        assert same_values(mine, vals)
+    else:
+        want = np.sort(vals) if strategy == "kmeans" else vals
+        assert mine.tobytes() == want.tobytes()
