@@ -7,7 +7,9 @@ moves any byte of ``extract``, ``explain``, ``evaluate`` or
 files with ``PYTHONPATH=src python tests/test_golden.py`` and says why.
 The ``extract_blocks_*`` cases read a 200,000-row table that ``synth``
 writes from ``blocks_spec.json`` first, so their root columns span several
-counting blocks.
+counting blocks. The ``*_mixed*`` cases read ``mixed.csv``: ``two_mode.csv``
+with a 4-level categorical column ``grp`` that leans towards the label, and
+a few empty ``grp`` and ``f1`` cells.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from regionrules.cli import main
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = FIXTURES / "golden"
 TWO_MODE = FIXTURES / "two_mode.csv"
+MIXED = FIXTURES / "mixed.csv"
 BLOCKS_SPEC = FIXTURES / "blocks_spec.json"
 BLOCKS = "{blocks}"  # stands for the synthesized table's path in an argv
 
@@ -35,6 +38,14 @@ STRATEGIES = ("uniform", "quantile", "kmeans")
 
 def _extract(strategy: str, *extra: str) -> list[str]:
     return ["extract", "--data", str(TWO_MODE), *SEARCH, "--strategy", strategy, *extra]
+
+
+def _mixed(command: str, strategy: str, *extra: str) -> list[str]:
+    return [
+        command, "--data", str(MIXED), "--schema", "grp:categorical", "--target-column",
+        "label", "--features", "f0,f1,grp", "--min-support", "150", "--max-rules", "2",
+        "--n-grids", "10", "--strategy", strategy, *extra,
+    ]
 
 
 def _blocks(strategy: str, n_grids: int) -> list[str]:
@@ -62,6 +73,9 @@ CASES = {
     # both sides of the sort-or-count rule
     **{f"extract_blocks_{n}": _blocks("uniform", n) for n in (10, 20)},
     **{f"extract_blocks_{s}_10": _blocks(s, 10) for s in ("quantile", "kmeans")},
+    # numeric and categorical features with missing cells
+    **{f"extract_mixed_{s}": _mixed("extract", s) for s in ("uniform", "kmeans")},
+    "explain_mixed": _mixed("explain", "uniform", "--row-index", "2"),
 }
 
 
