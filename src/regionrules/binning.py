@@ -235,7 +235,7 @@ def node_histogram(values, rows, target_rows, has_missing, n_grids, strategy, se
 
     def on_edge(x: float) -> tuple[int, int]:
         if ascending:
-            return tuple(_sorted_counts(np.array([x, x]), a)[0] for a in (s, st))
+            return tuple(int(a.searchsorted(x, "right") - a.searchsorted(x)) for a in (s, st))
         return tuple(_passes(np.equal, [x], a)[0] for a in (s, st))
 
     return merge_grids(hist), on_edge

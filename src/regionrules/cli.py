@@ -49,6 +49,7 @@ from .extraction import (
     ExtractionConfig,
     _ranked,
     build_rule_tree,
+    count_ratios,
     extract_local,
     select_best,
 )
@@ -229,7 +230,7 @@ def _extraction_config(args: argparse.Namespace) -> ExtractionConfig:
 
 def _root_histograms(table, feature_indices, root) -> list[dict]:
     """The histograms the search built at ``root``, for external plotting;
-    ratios are the exact ratios rounded once to float."""
+    ratios are the exact ratios over the whole table rounded once to float."""
     out = []
     for f in feature_indices:
         col = table.column(f)
@@ -238,11 +239,10 @@ def _root_histograms(table, feature_indices, root) -> list[dict]:
         if isinstance(hist, str):
             entry["skipped"] = hist
         else:
-            bins, tc, nc, ratios = hist
+            bins, tc, nc = hist
+            ratios = [float(r) for r in count_ratios(tc, nc, root.support, root.tp)]
             entry["edges" if col.kind == NUMERIC else "categories"] = list(bins)
-            entry.update(
-                target_counts=list(tc), total_counts=list(nc), ratios=list(map(float, ratios))
-            )
+            entry.update(target_counts=list(tc), total_counts=list(nc), ratios=ratios)
         out.append(entry)
     return out
 

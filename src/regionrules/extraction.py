@@ -4,10 +4,10 @@ The search greedily grows value intervals around peaks of the per-grid
 probability ratio (target share over overall share, conditioned on the rules
 already chosen) and explores the best candidates breadth-first in a K-branch
 tree. All ranking comparisons are exact: counts stay integers, ratios are
-compared by integer cross-multiplication and reported as
-:class:`fractions.Fraction`. A numeric feature's values reach the search only
-through :func:`~regionrules.binning.node_histogram`: its merged histogram,
-and its count of the node's rows on an interval's top edge.
+compared by integer cross-multiplication, and only a kept candidate's ratio
+becomes a :class:`fractions.Fraction`. A numeric feature's values reach the
+search only through :func:`~regionrules.binning.node_histogram`: its merged
+histogram, and its count of the node's rows on an interval's top edge.
 """
 
 from __future__ import annotations
@@ -187,7 +187,8 @@ def count_ratios(
     condition_total: int,
     condition_target: int,
 ) -> list[Fraction]:
-    """Per-bin probability ratio (target share over overall share), exactly.
+    """Per-bin probability ratio (target share over overall share), exactly,
+    for reports: the search compares counts instead (:func:`find_peaks`).
 
     Empty bins get ratio 0 by convention.
     """
@@ -205,29 +206,28 @@ def grid_ratios(hist: GridHistogram) -> list[Fraction]:
     )
 
 
-def find_peaks(ratios: Sequence[Fraction]) -> list[int]:
-    """Local maxima with ratio > 1, ordered by ratio descending then index."""
-    peaks = []
-    g = len(ratios)
-    for i, r in enumerate(ratios):
-        if r <= 1:
-            continue
-        if i > 0 and not r > ratios[i - 1]:
-            continue
-        if i < g - 1 and not r > ratios[i + 1]:
-            continue
-        peaks.append(i)
-    peaks.sort(key=lambda i: (-ratios[i], i))
-    return peaks
+def find_peaks(hist: GridHistogram) -> list[int]:
+    """Grids with ratio > 1 (``t condition_total > n condition_target``) and
+    a higher ratio than each neighbour (:func:`share_above`), ordered by ratio
+    descending then index. Only the peaks' shares become Fractions."""
+    cn, ct = hist.condition_total, hist.condition_target
+    _check_condition(cn, ct)
+    grids = list(zip(hist.target_counts, hist.total_counts))
+    peaks = [
+        i for i, (t, n) in enumerate(grids)
+        if t * cn > n * ct
+        and (i == 0 or share_above(grids[i], grids[i - 1]))
+        and (i == len(grids) - 1 or share_above(grids[i], grids[i + 1]))
+    ]
+    return sorted(peaks, key=lambda i: (-Fraction(*grids[i]), i))
 
 
 @dataclass(frozen=True)
 class GrownInterval:
-    """A contiguous grid range with its combined exact ratio and support."""
+    """A contiguous grid range and its support."""
 
     lo_grid: int
     hi_grid: int
-    ratio: Fraction
     support: int
 
 
@@ -280,8 +280,7 @@ def gen_feature_interval(
 
     if cur_n < min_support or cur_t * cn <= cur_n * ct:
         return None
-    ratio = Fraction(cur_t * cn, cur_n * ct)
-    return GrownInterval(lo_grid=lo, hi_grid=hi, ratio=ratio, support=cur_n)
+    return GrownInterval(lo_grid=lo, hi_grid=hi, support=cur_n)
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +304,14 @@ class Candidate:
         return (-self.ratio, -self.support, self.rule.feature, start)
 
 
+def _kept(rule: Rule, tp: int, n: int, cn: int, ct: int, min_support: int) -> Candidate | None:
+    """``rule``, with ``n`` rows and ``tp`` target rows, as a candidate if it
+    clears the support floor with ratio ``tp cn / (n ct)`` above 1, else None."""
+    if n < min_support or tp * cn <= n * ct:  # ratio <= 1, or no row at all
+        return None
+    return Candidate(rule, Fraction(tp * cn, n * ct), n, tp)
+
+
 def _screen_interval(
     feature: int,
     hist: GridHistogram,
@@ -318,9 +325,9 @@ def _screen_interval(
     its counts are the range's grids plus, when the top edge is interior, the
     rows sitting exactly on it (the last grid is closed already); the
     candidate is kept only if it still clears the support floor with a ratio
-    above 1. This keeps cached statistics identical to any later
-    re-evaluation of the emitted rule. ``on_edge`` is the node's counter from
-    :func:`~regionrules.binning.node_histogram`.
+    above 1 (:func:`_kept`). This keeps cached statistics identical to any
+    later re-evaluation of the emitted rule. ``on_edge`` is the node's counter
+    from :func:`~regionrules.binning.node_histogram`.
     """
     top = grown.hi_grid + 1
     lo, hi = float(hist.edges[grown.lo_grid]), float(hist.edges[top])
@@ -329,15 +336,8 @@ def _screen_interval(
     if top < hist.n_grids:  # the histogram put these rows in the next grid
         edge_n, edge_tp = on_edge(hi)
         n, tp = n + edge_n, tp + edge_tp
-    cn, ct = hist.condition_total, hist.condition_target
-    if n < min_support or tp * cn <= n * ct:  # ratio <= 1, or no row at all
-        return None
-    return Candidate(
-        rule=Rule(feature=feature, predicate=Interval(lo, hi)),
-        ratio=Fraction(tp * cn, n * ct),
-        support=n,
-        tp=tp,
-    )
+    rule = Rule(feature=feature, predicate=Interval(lo, hi))
+    return _kept(rule, tp, n, hist.condition_total, hist.condition_target, min_support)
 
 
 def _numeric_candidates(
@@ -347,16 +347,14 @@ def _numeric_candidates(
     rows: np.ndarray,
     config: ExtractionConfig,
     sample_value=_NO_SAMPLE,
-) -> tuple[list[Candidate], tuple]:
+) -> tuple[list[Candidate | None], tuple]:
     col = table.column(feature)
     merged, on_edge = node_histogram(
         col.values, rows, target_rows, col.has_missing,
         config.n_grids, config.strategy, config.seed,
     )
-    ratios = grid_ratios(merged)
-
     grown: dict[tuple[int, int], GrownInterval] = {}
-    for p in find_peaks(ratios):
+    for p in find_peaks(merged):
         res = gen_feature_interval(merged, p, config.min_support)
         if res is not None:
             grown.setdefault((res.lo_grid, res.hi_grid), res)
@@ -377,12 +375,11 @@ def _numeric_candidates(
                 {(res.lo_grid, res.hi_grid): res} if res is not None else {}
             )
 
-    out = []
-    for res in grown.values():
-        cand = _screen_interval(feature, merged, res, config.min_support, on_edge)
-        if cand is not None:
-            out.append(cand)
-    return out, (merged.edges, merged.target_counts, merged.total_counts, ratios)
+    out = [
+        _screen_interval(feature, merged, res, config.min_support, on_edge)
+        for res in grown.values()
+    ]
+    return out, (merged.edges, merged.target_counts, merged.total_counts)
 
 
 def _categorical_candidates(
@@ -392,11 +389,11 @@ def _categorical_candidates(
     rows: np.ndarray,
     config: ExtractionConfig,
     sample_value=_NO_SAMPLE,
-) -> tuple[list[Candidate], tuple]:
+) -> tuple[list[Candidate | None], tuple]:
     col = table.column(feature)
     tc, nc = col.category_counts(target_rows), col.category_counts(rows)
-    n = table.n_rows if rows is None else len(rows)
-    ratios = count_ratios(tc, nc, n, len(target_rows))
+    n, ct = table.n_rows if rows is None else len(rows), len(target_rows)
+    _check_condition(n, ct)
     codes = range(len(nc))
     if sample_value is not _NO_SAMPLE:
         k = col.code_of(sample_value)
@@ -404,15 +401,9 @@ def _categorical_candidates(
 
     vocab = col.vocabulary
     return [
-        Candidate(
-            rule=Rule(feature=feature, predicate=CategoryEquals(vocab[k])),
-            ratio=ratios[k],
-            support=nc[k],
-            tp=tc[k],
-        )
+        _kept(Rule(feature, CategoryEquals(vocab[k])), tc[k], nc[k], n, ct, config.min_support)
         for k in codes
-        if nc[k] >= config.min_support and ratios[k] > 1
-    ], (vocab, tc, nc, ratios)
+    ], (vocab, tc, nc)
 
 
 def get_candidate_rules(
@@ -439,7 +430,7 @@ def get_candidate_rules(
     among them; when they are not given, they are selected here and index
     conditions are checked to ascend. ``histograms``, when given, receives
     under the feature's column index its histogram over the condition's rows:
-    ``(edges or vocabulary, target_counts, total_counts, exact ratios)``.
+    ``(edges or vocabulary, target_counts, total_counts)``.
     """
     n = table.n_rows
     flags = target_flags(target, n)
@@ -466,7 +457,7 @@ def get_candidate_rules(
     out, hist = build(table, target_rows, feature_idx, rows, config, sample_value)
     if histograms is not None:
         histograms[feature_idx] = hist
-    out.sort(key=Candidate._order_key)
+    out = sorted((c for c in out if c is not None), key=Candidate._order_key)  # None: screened out
     return out[: config.max_branches]
 
 
@@ -478,9 +469,10 @@ def get_candidate_rules(
 class RuleTreeNode:
     """One step of the search: the rule taken and the exact counts of its path.
 
-    An expanded node keeps, per searched feature, the histogram that
-    :func:`get_candidate_rules` built over its rows, or the message of the
-    feature's :class:`DegenerateFeatureError`.
+    An expanded node keeps, per searched feature, the counts of the histogram
+    that :func:`get_candidate_rules` built over its rows, or the message of
+    the feature's :class:`DegenerateFeatureError`. The histogram's ratios are
+    :func:`count_ratios` of those counts, ``support`` and ``tp``.
     """
 
     rule: Rule | None

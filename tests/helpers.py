@@ -294,9 +294,34 @@ def ref_grid_counts(edges, vals, flags, cond):
     )
 
 
-# The Fraction-based grid merge and interval growth the integer
+# The Fraction-based grid merge, peak finder and interval growth the integer
 # cross-multiplications replaced, kept verbatim in behaviour: every ratio
 # comparison builds exact Fractions, an empty grid's ratio being Fraction(0).
+
+
+def ref_find_peaks(ratios) -> list[int]:
+    """:func:`regionrules.find_peaks` on a list of per-grid Fraction ratios
+    (:func:`regionrules.grid_ratios`): local maxima with ratio > 1, ordered
+    by ratio descending then index."""
+    peaks = []
+    g = len(ratios)
+    for i, r in enumerate(ratios):
+        if r <= 1:
+            continue
+        if i > 0 and not r > ratios[i - 1]:
+            continue
+        if i < g - 1 and not r > ratios[i + 1]:
+            continue
+        peaks.append(i)
+    peaks.sort(key=lambda i: (-ratios[i], i))
+    return peaks
+
+
+def range_ratio(hist, grown) -> Fraction:
+    """The exact ratio of a grown interval's grid range of ``hist``."""
+    span = slice(grown.lo_grid, grown.hi_grid + 1)
+    t, n = sum(hist.target_counts[span]), sum(hist.total_counts[span])
+    return Fraction(t * hist.condition_total, n * hist.condition_target)
 
 
 def _ref_share(t: int, n: int) -> Fraction:
@@ -410,7 +435,7 @@ def ref_gen_feature_interval(hist, peak: int, min_support: int):
 
     if cur_n < min_support or cur_ratio() <= 1:
         return None
-    return GrownInterval(lo_grid=lo, hi_grid=hi, ratio=cur_ratio(), support=cur_n)
+    return GrownInterval(lo_grid=lo, hi_grid=hi, support=cur_n)
 
 
 def ref_screen_interval(vals, flags, cond, lo: float, hi: float) -> tuple[int, int]:

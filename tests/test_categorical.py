@@ -106,10 +106,18 @@ def test_candidate_counts_match_per_row_reference(seed):
         if not (cond & target.flags).any():
             continue
         col = table.column(f)
-        for cand in get_candidate_rules(table, target, f, cond, config):
+        cands = get_candidate_rules(table, target, f, cond, config)
+        cn, ct = int(cond.sum()), int((cond & target.flags).sum())
+        for cand in cands:
             pm = cond & per_row_equals(col, cand.rule.predicate.token)
             assert cand.support == int(pm.sum())
             assert cand.tp == int((pm & target.flags).sum())
-            assert cand.ratio == Fraction(
-                cand.tp * int(cond.sum()), cand.support * int((cond & target.flags).sum())
-            )
+            assert cand.ratio == Fraction(cand.tp * cn, cand.support * ct)
+        # kept: every category with a row and a ratio above 1, and no other
+        kept = set()
+        for tok in col.vocabulary:
+            pm = cond & per_row_equals(col, tok)
+            n, t = int(pm.sum()), int((pm & target.flags).sum())
+            if n and Fraction(t * cn, n * ct) > 1:
+                kept.add(tok)
+        assert {c.rule.predicate.token for c in cands} == kept

@@ -14,6 +14,7 @@ from regionrules import (
     RuleSet,
     RuleStats,
     TargetIndicator,
+    build_rule_tree,
     extract_local,
     extract_rule_sets,
     find_peaks,
@@ -32,7 +33,7 @@ from regionrules.errors import (
 )
 from regionrules.serialize import rule_set_to_dict
 
-from helpers import random_config, random_table
+from helpers import random_config, random_table, range_ratio
 
 F = Fraction
 
@@ -77,31 +78,57 @@ class TestGridRatios:
             grid_ratios(hist)
 
 
+def counts_hist(target_counts, total_counts, condition_total, condition_target):
+    from regionrules import GridHistogram
+
+    return GridHistogram(
+        edges=tuple(range(len(total_counts) + 1)), target_counts=target_counts,
+        total_counts=total_counts, condition_total=condition_total,
+        condition_target=condition_target,
+    )
+
+
 class TestFindPeaks:
-    def test_single_interior_peak(self):
-        assert find_peaks([F(2, 5), F(6, 5), F(2), F(2, 5)]) == [2]
+    def test_single_interior_peak(self, grid_hist):
+        assert grid_ratios(grid_hist) == [F(2, 5), F(6, 5), F(2), F(2, 5)]
+        assert find_peaks(grid_hist) == [2]
 
     def test_boundary_peaks_sorted_by_ratio(self):
-        assert find_peaks([F(2), F(1, 2), F(9, 5)]) == [0, 2]
+        hist = counts_hist((2, 1, 9), (5, 10, 25), 60, 12)
+        assert grid_ratios(hist) == [F(2), F(1, 2), F(9, 5)]
+        assert find_peaks(hist) == [0, 2]
 
     def test_nothing_above_one(self):
-        assert find_peaks([F(1), F(9, 10)]) == []
+        hist = counts_hist((1, 9), (2, 20), 22, 11)
+        assert grid_ratios(hist) == [F(1), F(9, 10)]
+        assert find_peaks(hist) == []
 
     def test_plateau_is_not_a_peak(self):
-        assert find_peaks([F(3, 2), F(3, 2), F(1, 2)]) == []
+        hist = counts_hist((3, 3, 1), (4, 4, 4), 14, 7)
+        assert grid_ratios(hist) == [F(3, 2), F(3, 2), F(1, 2)]
+        assert find_peaks(hist) == []
+
+    def test_an_empty_neighbour_ranks_below_any_peak(self):
+        hist = counts_hist((0, 1, 0), (0, 2, 0), 4, 1)
+        assert grid_ratios(hist) == [F(0), F(2), F(0)]
+        assert find_peaks(hist) == [1]
+
+    def test_no_target_error(self):
+        with pytest.raises(NoTargetError):
+            find_peaks(counts_hist((0,), (5,), 5, 0))
 
 
 class TestGenFeatureInterval:
     def test_fixture_growth(self, grid_hist):
         grown = gen_feature_interval(grid_hist, peak=2, min_support=8)
         assert (grown.lo_grid, grown.hi_grid) == (1, 2)
-        assert grown.ratio == F(8, 5)
+        assert range_ratio(grid_hist, grown) == F(8, 5)
         assert grown.support == 10
 
     def test_no_expansion_when_peak_suffices(self, grid_hist):
         grown = gen_feature_interval(grid_hist, peak=2, min_support=5)
         assert (grown.lo_grid, grown.hi_grid) == (2, 2)
-        assert grown.ratio == F(2)
+        assert range_ratio(grid_hist, grown) == F(2)
         assert grown.support == 5
 
     def test_infeasible_support(self, grid_hist):
@@ -116,7 +143,7 @@ class TestGenFeatureInterval:
         # interval (6, 10) has ratio 1.2 > 1, so a valid interval comes back
         grown = gen_feature_interval(grid_hist, peak=3, min_support=8)
         assert (grown.lo_grid, grown.hi_grid) == (2, 3)
-        assert grown.ratio == F(6, 5)
+        assert range_ratio(grid_hist, grown) == F(6, 5)
 
     def test_support_strictly_increases_during_forced_growth(self, grid_hist):
         # growing to min_support 20 must annex every grid
@@ -137,7 +164,7 @@ class TestGenFeatureInterval:
         assert grown is not None
         assert (grown.lo_grid, grown.hi_grid) == (0, 3)
         assert grown.support == 7
-        assert grown.ratio == F(9, 7)
+        assert range_ratio(hist, grown) == F(9, 7)
 
     def test_whole_range_interval_has_unit_ratio_and_fails(self):
         from regionrules import GridHistogram
@@ -541,3 +568,74 @@ class TestSelectBest:
     def test_empty_input(self):
         with pytest.raises(EmptyResultError):
             select_best([], 0.8)
+
+
+def mixed_table(rng, n_rows, n_numeric, n_categorical):
+    """Normal numeric columns and 4-level categorical ones, with a target
+    that leans on the first column of each kind."""
+    cols = [FeatureColumn(f"x{f}", "numeric", rng.normal(size=n_rows)) for f in range(n_numeric)]
+    cols += [
+        FeatureColumn(f"c{f}", "categorical", rng.choice(list("abcd"), n_rows).astype(object))
+        for f in range(n_categorical)
+    ]
+    table = DataTable(tuple(cols))
+    lean = (cols[0].values > 0.5) | (cols[-1].values == "a")
+    flags = rng.random(n_rows) < np.where(lean, 0.6, 0.1)
+    return table, TargetIndicator(flags=flags)
+
+
+def expanded_nodes(root):
+    stack, out = [root], []
+    while stack:
+        node = stack.pop()
+        out += [node] if node.histograms else []
+        stack.extend(node.children)
+    return out
+
+
+def test_the_search_builds_no_per_grid_ratios(monkeypatch):
+    """Peaks, growth and both screens decide on counts: a search that
+    cannot build a ratio list still finds numeric and categorical rules."""
+    from regionrules import extraction
+
+    table, target = mixed_table(np.random.default_rng(3), 600, 3, 2)
+    config = ExtractionConfig(min_support=30, max_rules=2, n_grids=8)
+    want = extract_rule_sets(table, target, range(5), config)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the search built a ratio list")
+
+    monkeypatch.setattr(extraction, "count_ratios", refuse)
+    monkeypatch.setattr(extraction, "grid_ratios", refuse)
+    root = extraction.build_rule_tree(table, target, range(5), config)
+    assert extraction._ranked(root) == want
+    kinds = {type(r.predicate) for rs in want for r in rs.rules}
+    assert kinds == {Interval, CategoryEquals}
+    for node in expanded_nodes(root):
+        # no cell is missing, so a node's counts add up to its support and tp
+        for bins, tc, nc in node.histograms.values():
+            assert len(bins) in (len(nc), len(nc) + 1)
+            assert (sum(tc), sum(nc)) == (node.tp, node.support)
+
+
+@pytest.mark.parametrize("strategy", ("uniform", "quantile", "kmeans"))
+def test_a_search_tree_keeps_counts_not_ratios(strategy):
+    """The retained tree holds each expanded node's histograms as counts:
+    under 900 bytes per (expanded node x searched feature) at 10 grids on a
+    2,000-row table of 30 features (about 720-810; 1,570-1,920 when the
+    histograms also held their exact ratios)."""
+    import tracemalloc
+
+    table, target = mixed_table(np.random.default_rng(4), 2000, 25, 5)
+    config = ExtractionConfig(min_support=50, max_rules=2, n_grids=10, strategy=strategy)
+    extract_rule_sets(table, target, range(30), config)  # first-use column caches
+    tracemalloc.start()
+    try:
+        root = build_rule_tree(table, target, range(30), config)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    nodes = expanded_nodes(root)
+    assert len(nodes) == 1 + config.max_branches
+    slots = sum(len(node.histograms) for node in nodes)
+    assert retained < 900 * slots

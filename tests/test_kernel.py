@@ -32,6 +32,8 @@ from helpers import (
     column_histogram,
     random_config,
     random_table,
+    range_ratio,
+    ref_find_peaks,
     ref_gen_feature_interval,
     ref_grid_counts,
     ref_kmeans_1d,
@@ -69,11 +71,11 @@ def edges_or_error(build, *args):
 
 def ref_candidates(vals, flags, cond, config):
     """Merged histogram and screened (lo, hi, support, tp) by full-table masks
-    and the Fraction-based merge and growth."""
+    and the Fraction-based merge, peaks and growth."""
     edges = ref_make_grids(vals[cond], config.n_grids, config.strategy, config.seed)
     hist = ref_merge_grids(ref_grid_counts(edges, vals, flags, cond))
     out = set()
-    for p in find_peaks(grid_ratios(hist)):
+    for p in ref_find_peaks(grid_ratios(hist)):
         grown = ref_gen_feature_interval(hist, p, config.min_support)
         if grown is None:
             continue
@@ -142,7 +144,20 @@ def test_integer_merge_and_growth_match_the_fraction_reference(seed):
                     got = outcome(gen_feature_interval, h, start, min_support)
                     assert got == outcome(ref_gen_feature_interval, h, start, min_support)
                     if got is not None and not isinstance(got, tuple):
-                        assert type(got.ratio) is Fraction
+                        assert range_ratio(h, got) > 1
+                        span = slice(got.lo_grid, got.hi_grid + 1)
+                        assert got.support == sum(h.total_counts[span]) >= min_support
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_integer_peaks_match_the_fraction_reference(seed):
+    """Peaks on counts equal the Fraction peak finder on :func:`grid_ratios`,
+    the same error included, before and after merging."""
+    rng = np.random.default_rng(seed)
+    for _ in range(300):
+        hist = random_histogram(rng)
+        for h in (hist, merge_grids(hist)):
+            assert outcome(find_peaks, h) == outcome(lambda: ref_find_peaks(grid_ratios(h)))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
