@@ -63,16 +63,6 @@ class DifferentiableScorer:
             z = _sigmoid(z)
         return float(z) if arr.ndim == 1 else z
 
-    def gradient(self, x) -> np.ndarray:
-        arr = np.asarray(x, dtype=np.float64)
-        w = np.asarray(self.weights)
-        if self.kind == "linear":
-            return np.broadcast_to(w, arr.shape).copy()
-        s = _sigmoid(arr @ w + self.bias)
-        if arr.ndim == 1:
-            return float(s * (1.0 - s)) * w
-        return (s * (1.0 - s))[:, None] * w[None, :]
-
 
 def integrated_gradient(
     scorer: DifferentiableScorer,
@@ -98,12 +88,13 @@ def integrated_gradient(
             f"got {b.shape} and {t.shape}"
         )
     delta = b - t
+    w = np.asarray(scorer.weights)
     if scorer.kind == "linear":
-        return np.asarray(scorer.weights) * delta
+        return w * delta
     lambdas = (np.arange(steps) + 0.5) / steps
     points = t[None, :] + lambdas[:, None] * delta[None, :]
-    grads = scorer.gradient(points)  # (steps, d)
-    return delta * grads.mean(axis=0)
+    s = _sigmoid(points @ w + scorer.bias)  # the logistic gradient is s (1 - s) w
+    return delta * ((s * (1.0 - s))[:, None] * w).mean(axis=0)
 
 
 def importance_scores(

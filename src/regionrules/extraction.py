@@ -88,7 +88,6 @@ class RuleStats:
     support: int
     tp: int
     target_count: int
-    table_rows: int
     step_ratios: tuple[Fraction, ...] = ()
 
     @property
@@ -224,11 +223,10 @@ def find_peaks(hist: GridHistogram) -> list[int]:
 
 @dataclass(frozen=True)
 class GrownInterval:
-    """A contiguous grid range and its support."""
+    """A contiguous grid range."""
 
     lo_grid: int
     hi_grid: int
-    support: int
 
 
 def gen_feature_interval(
@@ -280,7 +278,7 @@ def gen_feature_interval(
 
     if cur_n < min_support or cur_t * cn <= cur_n * ct:
         return None
-    return GrownInterval(lo_grid=lo, hi_grid=hi, support=cur_n)
+    return GrownInterval(lo_grid=lo, hi_grid=hi)
 
 
 # ---------------------------------------------------------------------------
@@ -526,15 +524,14 @@ def _add_rules(
 
 
 def _collect_rule_sets(root: RuleTreeNode) -> list[RuleSet]:
-    # the root covers every row and every target row
-    target_count, table_rows = root.tp, root.support
+    target_count = root.tp  # the root covers every target row
     out: list[RuleSet] = []
 
     def walk(node: RuleTreeNode, rules: tuple[Rule, ...], ratios: tuple[Fraction, ...]):
         for child in node.children:
             crules = rules + (child.rule,)
             cratios = ratios + (child.ratio,)
-            stats = RuleStats(child.support, child.tp, target_count, table_rows, cratios)
+            stats = RuleStats(child.support, child.tp, target_count, cratios)
             out.append(RuleSet(rules=crules, stats=stats))
             walk(child, crules, cratios)
 

@@ -32,7 +32,7 @@ def rule_set_stats(table: DataTable, target, rule_set) -> RuleStats:
     flags = target_flags(target, table.n_rows)
     mask = rule_set_mask(table, _rules_of(rule_set))
     tp = int((mask & flags).sum())
-    return RuleStats(int(mask.sum()), tp, int(flags.sum()), table.n_rows)
+    return RuleStats(int(mask.sum()), tp, int(flags.sum()))
 
 
 def confidence(table: DataTable, target, rule_set) -> float:

@@ -208,7 +208,7 @@ def brute_force_best(
                 n = int(np.count_nonzero(mask))
                 if n >= s_min:
                     tp = int(np.count_nonzero(mask & flags))
-                    stats = RuleStats(n, tp, target_count, table.n_rows)
+                    stats = RuleStats(n, tp, target_count)
                     sets.append(RuleSet(tuple(r for r, _ in combo), stats))
     if not sets:
         raise EmptyResultError(f"no conjunction reaches support {s_min}")

@@ -230,8 +230,8 @@ def read_csv(path, empty_message: str):
                 buf, ends = first
                 header = buf[: ends[1]].tobytes().decode().split(",")
                 first = (buf, ends[1:])
-            elif (header := next(first, None)) is None:  # csv.reader's rows, header first
-                raise ParseError(empty_message)
+            else:  # csv.reader's rows, header first: a first window is never empty, and
+                header = next(first)  # csv.reader makes each line a row ([] if blank) or raises
             if len(set(header)) != len(header):
                 dupes = sorted({h for h in header if header.count(h) > 1})
                 raise SchemaError(f"duplicate header names {dupes}")
@@ -505,18 +505,16 @@ def roc_threshold(
     if n_pos == 0 or n_neg == 0:
         raise DegenerateLabelsError("both classes must be present in true_labels")
 
-    distinct = np.unique(probs)  # ascending
+    distinct, at = np.unique(probs, return_inverse=True)  # ascending; probs == distinct[at]
     candidates = np.concatenate(
         ([distinct[0] - 1.0], (distinct[:-1] + distinct[1:]) / 2.0)
     )
-    # predicted positive at candidate c_i  <=>  p >= distinct[i]
-    order = np.argsort(probs, kind="stable")
-    sorted_labels = labels[order]
-    suffix_pos = np.concatenate((np.cumsum(sorted_labels[::-1])[::-1], [0]))
-    suffix_neg = np.concatenate((np.cumsum((~sorted_labels)[::-1])[::-1], [0]))
-    first = np.searchsorted(probs[order], distinct, side="left")
+    # predicted positive at candidate c_i  <=>  p >= distinct[i]: per class,
+    # the rows at each distinct value, summed from the top
+    pos = np.cumsum(np.bincount(at[labels], minlength=len(distinct))[::-1])[::-1]
+    neg = np.cumsum(np.bincount(at[~labels], minlength=len(distinct))[::-1])[::-1]
     # TPR - FPR scaled by n_pos * n_neg, in integers: float ratios can round
     # exact ties apart; argmax returns the first (smallest) maximizer
-    j_scores = suffix_pos[first] * n_neg - suffix_neg[first] * n_pos
+    j_scores = pos * n_neg - neg * n_pos
     best = int(np.argmax(j_scores))
     return float(candidates[best])

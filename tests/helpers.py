@@ -204,7 +204,7 @@ def ref_brute_force_best(table, target, n_g, l_max, s_min, strategy="uniform", s
     if best is None:
         raise EmptyResultError(f"no conjunction reaches support {s_min}")
     _, rules, n, tp = best
-    return RuleSet(rules=rules, stats=RuleStats(n, tp, target_count, table.n_rows))
+    return RuleSet(rules=rules, stats=RuleStats(n, tp, target_count))
 
 
 def per_row_equals(col, token) -> np.ndarray:
@@ -315,6 +315,11 @@ def ref_find_peaks(ratios) -> list[int]:
         peaks.append(i)
     peaks.sort(key=lambda i: (-ratios[i], i))
     return peaks
+
+
+def range_support(hist, grown) -> int:
+    """The rows in a grown interval's grid range of ``hist``."""
+    return sum(hist.total_counts[grown.lo_grid : grown.hi_grid + 1])
 
 
 def range_ratio(hist, grown) -> Fraction:
@@ -435,7 +440,7 @@ def ref_gen_feature_interval(hist, peak: int, min_support: int):
 
     if cur_n < min_support or cur_ratio() <= 1:
         return None
-    return GrownInterval(lo_grid=lo, hi_grid=hi, support=cur_n)
+    return GrownInterval(lo_grid=lo, hi_grid=hi)
 
 
 def ref_screen_interval(vals, flags, cond, lo: float, hi: float) -> tuple[int, int]:

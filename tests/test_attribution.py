@@ -59,6 +59,15 @@ class TestIntegratedGradient:
         with pytest.raises(ShapeError):
             integrated_gradient(scorer, [1.0], [0.0, 0.0])
 
+    def test_no_steps(self):
+        scorer = DifferentiableScorer("logistic", (1.0,))
+        with pytest.raises(ConfigError, match="steps must be >= 1, got 0"):
+            integrated_gradient(scorer, [1.0], [0.0], steps=0)
+
+    def test_unknown_scorer_kind(self):
+        with pytest.raises(ConfigError, match="unknown scorer kind 'quadratic'"):
+            DifferentiableScorer("quadratic", (1.0,))
+
 
 class TestImportanceScores:
     def test_direct_formula(self):
@@ -72,6 +81,11 @@ class TestImportanceScores:
         out = importance_scores([0.0, 0.0, 0.4], 0.0, 0.4)
         assert np.allclose(out, [0.0, 0.0, 1.0])
 
+    @pytest.mark.parametrize("eps", [0.0, -1e-9])
+    def test_eps_must_be_positive(self, eps):
+        with pytest.raises(ConfigError, match="eps must be positive"):
+            importance_scores([0.3], 0.5, 0.3, eps=eps)
+
 
 class TestBuildImportanceMatrix:
     def test_single_pair(self):
@@ -79,6 +93,15 @@ class TestBuildImportanceMatrix:
         m = build_importance_matrix(scorer, [[0.0]], [[1.0]])
         assert m.n_rows == 1
         assert m.pair_index == ((0, 0),)
+
+    def test_no_baselines(self):
+        scorer = DifferentiableScorer("linear", (1.0,))
+        with pytest.raises(ShapeError, match="at least one baseline"):
+            build_importance_matrix(scorer, np.empty((0, 1)), [[1.0]])
+
+    def test_scores_must_be_two_dimensional(self):
+        with pytest.raises(ShapeError, match=r"scores must be 2-d, got shape \(2,\)"):
+            ImportanceMatrix(scores=[0.5, 0.2])
 
     def test_identical_samples_skip_everything(self):
         scorer = DifferentiableScorer("linear", (1.0,))
@@ -149,6 +172,15 @@ class TestScanThreshold:
     def test_all_zero_matrix(self):
         with pytest.raises(NoFeatureError):
             scan_threshold(ImportanceMatrix(scores=np.zeros((3, 2))), gamma=1.0)
+
+    def test_empty_matrix(self):
+        with pytest.raises(EmptyMatrixError, match="empty importance matrix"):
+            scan_threshold(ImportanceMatrix(scores=np.empty((0, 3))))
+
+    @pytest.mark.parametrize("gamma", [0.0, -0.5, 1.5])
+    def test_coverage_outside_the_unit_interval(self, gamma):
+        with pytest.raises(ConfigError, match=r"gamma must be in \(0, 1\]"):
+            scan_threshold(ImportanceMatrix(scores=WORKED_SCORES), gamma=gamma)
 
     def test_jump_past_one_returns_last_multi_threshold(self):
         # two identical features: qual never reaches exactly 1

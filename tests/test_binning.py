@@ -43,6 +43,10 @@ class TestMakeGrids:
         with pytest.raises(ConfigError):
             make_grids(np.array([0.0, 1.0]), 1, "uniform")
 
+    def test_unknown_strategy(self):
+        with pytest.raises(ConfigError, match="unknown binning strategy 'median'"):
+            make_grids(np.array([0.0, 1.0]), 2, "median")
+
     def test_signed_zero_bounds_come_from_the_values_as_given(self):
         # min/max and np.quantile of the unsorted values can pick the other
         # zero than the sorted ends, and the sign reaches the JSON edges
@@ -217,6 +221,19 @@ class TestGridHistogram:
     def test_negative_counts_rejected(self):
         with pytest.raises(ConfigError, match="non-negative"):
             make_hist([(-1, 0), (1, 2)])
+
+    @pytest.mark.parametrize(
+        "edges, target_counts, message",
+        [
+            ((0.0, 1.0), (1, 1), "one more entry than counts"),
+            ((0.0, 1.0, 2.0), (1,), "target and total counts must align"),
+            ((0.0, 1.0, 1.0), (1, 1), "strictly ascending"),
+        ],
+    )
+    def test_malformed_shapes_rejected(self, edges, target_counts, message):
+        with pytest.raises(ConfigError, match=message):
+            GridHistogram(edges=edges, target_counts=target_counts, total_counts=(2, 2),
+                          condition_total=4, condition_target=2)
 
     def test_merge_without_change_returns_the_histogram(self, grid_hist):
         assert merge_grids(grid_hist) is grid_hist

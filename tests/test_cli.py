@@ -111,6 +111,24 @@ class TestSelectFeatures:
         payload = json.loads(out)
         assert payload["features"] == ["a"]  # the zero-weight feature never scores
 
+    def test_scorer_path_with_a_missing_cell_is_a_data_error(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_text("a,b\n0.5,1.0\n,2.0\n")
+        code, out, err = run(capsys, "select-features", "--data", data, "--weights", "1,1")
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": "DomainError", "message": "scorer features must not contain missing values"
+        }
+
+    def test_wrong_number_of_weights_is_a_data_error(self, capsys):
+        code, out, err = run(
+            capsys, "select-features", "--data", FIXTURES / "two_mode.csv", "--weights", "1,1",
+        )
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": "ShapeError", "message": "2 weights for 3 feature columns"
+        }
+
     def test_non_numeric_weights_are_a_usage_error(self, capsys):
         code, out, err = run(
             capsys, "select-features", "--data", FIXTURES / "two_mode.csv",
@@ -161,6 +179,41 @@ class TestExtract:
             "feature": "x", "op": "in_interval", "lo": 1.0, "hi": 3.0,
         }
         assert payload["best"]["support"] == 10
+
+    def test_categorical_label_column_with_a_target_class(self, tmp_path, capsys):
+        lines = (FIXTURES / "two_mode.csv").read_text().splitlines()[1:]
+        want = sum(line.rsplit(",", 1)[1] == "1" for line in lines)
+        targets = []
+        for schema in ("label:categorical", "label:numeric"):
+            out = tmp_path / "rules.json"
+            args = self.common_args(out) + ["--schema", schema, "--target-class", "1"]
+            assert run(capsys, *args)[0] == 0
+            targets.append(json.loads(out.read_text())["target"])
+        assert targets[0] == targets[1] == {"label": "1", "count": want, "table_rows": 2000}
+
+    def test_prediction_column_must_be_numeric(self, fixture_csv, capsys):
+        code, out, err = run(
+            capsys, "extract", "--data", fixture_csv, "--schema", "p:categorical",
+            "--prediction-column", "p", "--threshold", "0.5",
+            "--min-support", "8", "--max-rules", "1",
+        )
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": "SchemaError", "message": "prediction column 'p' must be numeric"
+        }
+
+    def test_empty_schema_entries_are_skipped(self, tmp_path, capsys):
+        out = tmp_path / "rules.json"
+        code, _, _ = run(capsys, *self.common_args(out), "--schema", " , label:numeric,,")
+        assert code == 0
+        assert json.loads(out.read_text())["target"]["count"] > 0
+
+    def test_schema_entry_without_a_kind_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, *self.common_args("-"), "--schema", "label")
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {
+            "error": "ConfigError", "message": "--schema entry 'label' must be name:kind"
+        }
 
     def test_target_prior_one_reports_no_rules(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
@@ -411,6 +464,19 @@ class TestExplain:
         assert code == 1
         assert json.loads(err)["error"] == "ConfigError"
 
+    @pytest.mark.parametrize("which", [[], ["--row-index", "0", "--sample-file", "s.json"]],
+                             ids=["neither", "both"])
+    def test_exactly_one_sample_source(self, fixture_csv, capsys, which):
+        code, out, err = run(
+            capsys, "explain", "--data", fixture_csv,
+            "--prediction-column", "p", "--threshold", "0.5",
+            "--min-support", "8", "--max-rules", "1", *which,
+        )
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {
+            "error": "ConfigError", "message": "give exactly one of --row-index / --sample-file"
+        }
+
     def test_bad_row_index(self, fixture_csv, capsys):
         code, _, err = run(
             capsys, "explain", "--data", fixture_csv,
@@ -545,6 +611,29 @@ class TestEvaluate:
         assert code == 0
         assert json.loads(report.read_text())["rule_sets"][0]["support"] == 2000
 
+    @pytest.mark.parametrize(
+        "rule, error, message",
+        [
+            ({"feature": "group", "op": "in_interval", "lo": 0, "hi": 1},
+             "SchemaError", "interval rule on non-numeric column 'group'"),
+            ({"feature": "x", "op": "eq", "value": "1"},
+             "SchemaError", "category rule on non-categorical column 'x'"),
+            ({"feature": "x", "op": "in_interval", "lo": 2, "hi": 1},
+             "DomainError", "interval lo 2.0 exceeds hi 1.0"),
+        ],
+        ids=["interval-on-categorical", "category-on-numeric", "lo-above-hi"],
+    )
+    def test_rule_that_does_not_fit_its_column(self, tmp_path, capsys, rule, error, message):
+        data, rules = tmp_path / "g.csv", tmp_path / "rules.json"
+        data.write_text("group,x,label\nA,1,1\nB,2,0\n")
+        rules.write_text(json.dumps([{"rules": [rule]}]))
+        code, out, err = run(
+            capsys, "evaluate", "--data", data, "--schema", "group:categorical",
+            "--target-column", "label", "--rules", rules,
+        )
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": error, "message": message}
+
     def test_unknown_rule_feature(self, tmp_path, capsys):
         rules = tmp_path / "rules.json"
         rules.write_text(json.dumps([{"rules": [{"feature": "nope", "op": "eq", "value": 1}]}]))
@@ -579,6 +668,18 @@ class TestThreshold:
         )
         assert code == 0
         assert json.loads(out)["threshold"] == 0.5
+
+    def test_prediction_column_must_be_numeric(self, tmp_path, capsys):
+        data = tmp_path / "p.csv"
+        data.write_text("p,y\n0.1,0\n0.9,1\n")
+        code, out, err = run(
+            capsys, "threshold", "--data", data, "--schema", "p:categorical",
+            "--prediction-column", "p", "--label-column", "y",
+        )
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": "SchemaError", "message": "prediction column must be numeric"
+        }
 
     def test_word_label_class_on_numeric_label_is_a_usage_error(self, tmp_path, capsys):
         data = tmp_path / "p.csv"

@@ -33,7 +33,7 @@ from regionrules.errors import (
 )
 from regionrules.serialize import rule_set_to_dict
 
-from helpers import random_config, random_table, range_ratio
+from helpers import random_config, random_table, range_ratio, range_support
 
 F = Fraction
 
@@ -123,13 +123,13 @@ class TestGenFeatureInterval:
         grown = gen_feature_interval(grid_hist, peak=2, min_support=8)
         assert (grown.lo_grid, grown.hi_grid) == (1, 2)
         assert range_ratio(grid_hist, grown) == F(8, 5)
-        assert grown.support == 10
+        assert range_support(grid_hist, grown) == 10
 
     def test_no_expansion_when_peak_suffices(self, grid_hist):
         grown = gen_feature_interval(grid_hist, peak=2, min_support=5)
         assert (grown.lo_grid, grown.hi_grid) == (2, 2)
         assert range_ratio(grid_hist, grown) == F(2)
-        assert grown.support == 5
+        assert range_support(grid_hist, grown) == 5
 
     def test_infeasible_support(self, grid_hist):
         assert gen_feature_interval(grid_hist, peak=2, min_support=21) is None
@@ -148,7 +148,7 @@ class TestGenFeatureInterval:
     def test_support_strictly_increases_during_forced_growth(self, grid_hist):
         # growing to min_support 20 must annex every grid
         grown = gen_feature_interval(grid_hist, peak=2, min_support=20)
-        assert grown is None or grown.support == 20
+        assert grown is None or range_support(grid_hist, grown) == 20
 
     def test_forced_growth_terminates_across_empty_grids(self):
         # two condition rows miss this feature, so the full range keeps ratio > 1
@@ -163,7 +163,7 @@ class TestGenFeatureInterval:
         grown = gen_feature_interval(hist, peak=0, min_support=6)
         assert grown is not None
         assert (grown.lo_grid, grown.hi_grid) == (0, 3)
-        assert grown.support == 7
+        assert range_support(hist, grown) == 7
         assert range_ratio(hist, grown) == F(9, 7)
 
     def test_whole_range_interval_has_unit_ratio_and_fails(self):
@@ -260,6 +260,14 @@ class TestGetCandidateRules:
         with pytest.raises(ConfigError, match="integer row indices"):
             get_candidate_rules(table, target, 0, rows, cfg())
 
+    @pytest.mark.parametrize(
+        "rows", [np.zeros(20, bool), np.array([], dtype=np.intp)], ids=["mask", "indices"]
+    )
+    def test_a_condition_with_no_row_is_rejected(self, grid_table, rows):
+        table, target = grid_table
+        with pytest.raises(ConfigError, match="condition mask selects no rows"):
+            get_candidate_rules(table, target, 0, rows, cfg())
+
     @pytest.mark.parametrize("bad", [-1, 20])
     def test_out_of_range_indices_are_rejected(self, grid_table, bad):
         # -1 used to read the last row; 20 ended in an IndexError
@@ -303,6 +311,18 @@ class TestExtractRuleSets:
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigError, match="seed"):
             cfg(strategy="kmeans", seed=-1)
+
+    @pytest.mark.parametrize(
+        "knobs, message",
+        [
+            (dict(max_branches=0), "max_branches must be >= 1, got 0"),
+            (dict(min_confidence=-0.5), r"min_confidence must be in \[0, 1\], got -0.5"),
+            (dict(min_confidence=1.5), r"min_confidence must be in \[0, 1\], got 1.5"),
+        ],
+    )
+    def test_out_of_range_knobs_rejected(self, knobs, message):
+        with pytest.raises(ConfigError, match=message):
+            cfg(**knobs)
 
     def test_emitted_stats_match_reevaluation(self, two_mode):
         table, target, _ = two_mode
@@ -537,8 +557,7 @@ def stats(support, tp, target_count, n_rules=1):
     )
     return RuleSet(
         rules=rules,
-        stats=RuleStats(support=support, tp=tp, target_count=target_count,
-                        table_rows=70000),
+        stats=RuleStats(support=support, tp=tp, target_count=target_count),
     )
 
 

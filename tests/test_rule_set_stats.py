@@ -15,7 +15,7 @@ NO_ROW = (Rule(0, Interval(50.0, 60.0)),)
 def test_counts_on_the_fixture(grid_table):
     table, target = grid_table
     stats = rule_set_stats(table, target, (Rule(0, Interval(1.0, 3.0)),))
-    assert stats == RuleStats(support=10, tp=8, target_count=10, table_rows=20)
+    assert stats == RuleStats(support=10, tp=8, target_count=10)
 
 
 def test_metrics_are_the_counts_rounded_once():

@@ -44,7 +44,7 @@ def test_rule_round_trip(mixed_table):
 def test_rule_set_dict_shape(mixed_table):
     rs = RuleSet(
         rules=(Rule(0, Interval(30.0, 40.0)),),
-        stats=RuleStats(support=2, tp=1, target_count=1, table_rows=2),
+        stats=RuleStats(support=2, tp=1, target_count=1),
     )
     d = rule_set_to_dict(mixed_table, rs)
     assert d == {

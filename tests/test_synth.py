@@ -99,6 +99,28 @@ class TestGenSynthetic:
         with pytest.raises(SpecError, match="seed"):
             one_mode_spec(seed=-1)
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (dict(n_rows=0), "n_rows must be between 1 and"),
+            (dict(n_features=4), "n_features must be between 1 and 3"),
+            (dict(domain=((0.0, 1.0),)), "domain must give bounds for every feature"),
+            (dict(domain=((0.0, 1.0), (2.0, 2.0))), r"empty domain \(2.0, 2.0\)"),
+            (dict(background_rate=1.5), r"background_rate must be in \[0, 1\]"),
+            (dict(modes=(PlantedMode(((0.2, 0.5),), 1.0, 0.3),)),
+             "mode bounds must cover every feature"),
+            (dict(modes=(PlantedMode(((0.2, 0.5), (0.3, 0.6)), 1.5, 0.3),)),
+             r"purity must be in \[0, 1\]"),
+            (dict(modes=(PlantedMode(((0.2, 0.5), (0.3, 0.6)), 1.0, -0.3),)),
+             r"weight must be in \[0, 1\]"),
+        ],
+        ids=["n_rows", "n_features", "domain-length", "empty-domain", "background",
+             "mode-bounds", "purity", "weight"],
+    )
+    def test_each_field_is_checked(self, fields, message):
+        with pytest.raises(SpecError, match=message):
+            one_mode_spec(**fields)
+
     def test_overlapping_rectangles_rejected(self):
         with pytest.raises(SpecError):
             one_mode_spec(

@@ -103,6 +103,14 @@ class TestDataTableInvariants:
         with pytest.raises(DomainError):
             FeatureColumn("x", "numeric", np.array([np.inf]))
 
+    def test_numeric_matrix_defaults_to_the_numeric_columns(self, tmp_path):
+        table = load_csv(write(tmp_path, "a,s,b\n1,x,2\n3,y,4\n"),
+                         {"a": "numeric", "s": "categorical", "b": "numeric"})
+        assert table.numeric_matrix().tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert table.numeric_matrix(["b"]).tolist() == [[2.0], [4.0]]
+        with pytest.raises(SchemaError, match="column 's' is not numeric"):
+            table.numeric_matrix(["a", "s"])
+
 
 class TestMakeTarget:
     def test_strict_threshold(self):
@@ -126,6 +134,10 @@ class TestMakeTarget:
         b = make_target(probs, 0.4)
         assert a.flags.tolist() == b.flags.tolist()
 
+    def test_length_is_the_row_count(self):
+        target = make_target([0.1, 0.7, 0.9], 0.5)
+        assert (len(target), target.count) == (3, 2)
+
     @given(st.floats(0, 1), st.floats(0, 1))
     def test_true_count_monotone_in_threshold(self, t1, t2):
         rng = np.random.default_rng(0)
@@ -145,6 +157,10 @@ class TestRocThreshold:
     def test_single_class_rejected(self):
         with pytest.raises(DegenerateLabelsError):
             roc_threshold([0.2, 0.8], [True, True])
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(DomainError, match="different lengths"):
+            roc_threshold([0.2, 0.8, 0.5], [True, False])
 
     @pytest.mark.parametrize("bad, shown", [(float("nan"), "nan"), (1.5, "1.5"), (-0.5, "-0.5")])
     def test_probability_outside_unit_interval(self, bad, shown):
