@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from regionrules import DataTable, FeatureColumn, TargetIndicator, metrics
+from regionrules import DataTable, FeatureColumn, TargetIndicator, binning, metrics
 from regionrules.cli import _root_histograms
 from regionrules.errors import RegionRulesError
 from regionrules.extraction import (
@@ -42,14 +42,19 @@ from regionrules.serialize import rule_set_to_dict
 CORPUS = Path(__file__).parent / "fixtures" / "corpus.json"
 N_TABLES = 300
 STRATEGIES = ("uniform", "quantile", "kmeans")
+# Large tables, drawn as the small ones but with 5,000-8,000 rows, so that
+# numeric histograms at many grids are counted by comparison passes
+# (binning._blocked_counts) rather than by binary searches after a sort.
+LARGE_SEEDS = range(1000, 1030)
+LARGE_ROWS = (5000, 8000)
 
 
-def corpus_table(index: int):
-    """Table ``index`` of the corpus, drawn from ``default_rng(index)``: the
-    feature table, the target and the rows that miss no feature. Frozen: any
-    change here changes the corpus."""
+def corpus_table(index: int, rows: tuple[int, int] = (40, 400)):
+    """Table ``index`` of the corpus, drawn from ``default_rng(index)`` with
+    ``rows`` bounding its row count: the feature table, the target and the
+    rows that miss no feature. Frozen: any change here changes the corpus."""
     rng = np.random.default_rng(index)
-    n = int(rng.integers(40, 401))
+    n = int(rng.integers(rows[0], rows[1] + 1))
     d = int(rng.integers(2, 5))
     columns = []
     missing = np.zeros(n, dtype=bool)
@@ -125,9 +130,9 @@ def _explained(table, target, features, sample, config):
     return rule_set_to_dict(table, local) if local else None
 
 
-def case_digests(index: int) -> dict[str, dict[str, str]]:
+def case_digests(index: int, rows: tuple[int, int] = (40, 400)) -> dict[str, dict[str, str]]:
     """Per strategy, the digests of table ``index``'s three outputs."""
-    table, target, complete = corpus_table(index)
+    table, target, complete = corpus_table(index, rows)
     features = list(range(len(table.columns)))
     out = {}
     for strategy in STRATEGIES:
@@ -154,21 +159,44 @@ def corpus_digests() -> dict[str, dict[str, dict[str, str]]]:
     return {str(i): case_digests(i) for i in range(N_TABLES)}
 
 
-def test_every_corpus_case_matches_its_stored_digests():
-    stored = json.loads(CORPUS.read_text(encoding="utf-8"))
-    got = corpus_digests()
-    changed = [
+def large_corpus_digests() -> dict[str, dict[str, dict[str, str]]]:
+    return {str(i): case_digests(i, LARGE_ROWS) for i in LARGE_SEEDS}
+
+
+def _changed(stored: dict, got: dict) -> list[str]:
+    return [
         f"table {i} {strategy} {output}"
-        for i, per_strategy in stored["cases"].items()
+        for i, per_strategy in stored.items()
         for strategy, per_output in per_strategy.items()
         for output, digest in per_output.items()
         if got[i][strategy][output] != digest
     ]
+
+
+def test_every_corpus_case_matches_its_stored_digests():
+    stored = json.loads(CORPUS.read_text(encoding="utf-8"))
+    changed = _changed(stored["cases"], corpus_digests())
     assert not changed, (
         f"{len(changed)} corpus outputs changed (written with numpy {stored['numpy']}, "
         f"running numpy {np.__version__}): {changed[:10]}"
     )
     assert len(stored["cases"]) == N_TABLES
+
+
+def test_every_large_corpus_case_matches_its_stored_digests(monkeypatch):
+    stored = json.loads(CORPUS.read_text(encoding="utf-8"))
+    counted = []
+    blocked_counts = binning._blocked_counts
+    monkeypatch.setattr(
+        binning, "_blocked_counts", lambda edges, a: counted.append(len(a)) or blocked_counts(edges, a)
+    )
+    changed = _changed(stored["large_cases"], large_corpus_digests())
+    assert not changed, (
+        f"{len(changed)} large corpus outputs changed (written with numpy {stored['numpy']}, "
+        f"running numpy {np.__version__}): {changed[:10]}"
+    )
+    assert sorted(stored["large_cases"]) == sorted(map(str, LARGE_SEEDS))
+    assert len(counted) > 100  # these cases do reach the counting path
 
 
 def test_the_corpus_holds_small_tables_with_missing_cells_and_categories():
@@ -179,7 +207,16 @@ def test_the_corpus_holds_small_tables_with_missing_cells_and_categories():
     assert sum(len(complete) < table.n_rows for table, _, complete in tables) > N_TABLES // 3
 
 
+def test_the_large_corpus_tables_hold_5000_to_8000_rows():
+    sizes = [corpus_table(i, LARGE_ROWS)[0].n_rows for i in LARGE_SEEDS]
+    assert LARGE_ROWS[0] <= min(sizes) and max(sizes) <= LARGE_ROWS[1]
+
+
 if __name__ == "__main__":
-    payload = {"numpy": np.__version__, "cases": corpus_digests()}
+    payload = {
+        "numpy": np.__version__,
+        "cases": corpus_digests(),
+        "large_cases": large_corpus_digests(),
+    }
     CORPUS.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {CORPUS}", file=sys.stderr)
