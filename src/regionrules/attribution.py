@@ -117,13 +117,11 @@ class ImportanceMatrix:
     """Rows of finite, non-negative per-feature importance scores.
 
     When built from a scorer there is one row per usable (baseline, test)
-    pair and ``pair_index`` records which; matrices loaded from file leave
-    it ``None``.
+    pair, in (baseline, test) order.
     """
 
     scores: np.ndarray
     feature_names: tuple[str, ...] | None = None
-    pair_index: tuple[tuple[int, int], ...] | None = None
 
     def __post_init__(self):
         arr = np.asarray(self.scores, dtype=np.float64)
@@ -156,7 +154,6 @@ def build_importance_matrix(
     if b.shape[0] < 1 or t.shape[0] < 1:
         raise ShapeError("need at least one baseline and one test sample")
     rows = []
-    pairs = []
     for i in range(b.shape[0]):
         y = scorer.score(b[i])
         for j in range(t.shape[0]):
@@ -164,16 +161,11 @@ def build_importance_matrix(
             scores = importance_scores(
                 integrated_gradient(scorer, b[i], t[j], steps), y, y_tilde, eps
             )
-            if scores is None:
-                continue
-            rows.append(scores)
-            pairs.append((i, j))
+            if scores is not None:
+                rows.append(scores)
     if not rows:
         raise EmptyMatrixError("every (baseline, test) pair had a degenerate shift")
-    return ImportanceMatrix(
-        scores=np.vstack(rows),
-        pair_index=tuple(pairs),
-    )
+    return ImportanceMatrix(scores=np.vstack(rows))
 
 
 def load_importance_matrix(path) -> ImportanceMatrix:

@@ -13,7 +13,7 @@ and replayed in full only when rounding could move them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import pairwise
 
 import numpy as np
@@ -347,10 +347,4 @@ def merge_grids(hist: GridHistogram) -> GridHistogram:
 
     if len(nc) == hist.n_grids:  # every pass only ever removes grids
         return hist
-    return GridHistogram(
-        edges=tuple(edges),
-        target_counts=tuple(tc),
-        total_counts=tuple(nc),
-        condition_total=hist.condition_total,
-        condition_target=hist.condition_target,
-    )
+    return replace(hist, edges=edges, target_counts=tc, total_counts=nc)

@@ -433,14 +433,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
                 "n_rows": spec.n_rows,
                 "seed": spec.seed,
                 "target_count": target.count,
-                "modes": [
-                    {
-                        "bounds": [list(b) for b in s.bounds],
-                        "rows_inside": s.rows_inside,
-                        "target_inside": s.target_inside,
-                    }
-                    for s in summaries
-                ],
+                "modes": [asdict(s) for s in summaries],
             },
             args.meta_out,
         )
@@ -477,39 +470,35 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def _add_data_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", help="feature CSV with a header row")
     p.add_argument("--schema", help="comma-separated name:kind declarations")
-    p.add_argument("--default-kind", dest="default_kind", default=NUMERIC,
+    p.add_argument("--default-kind", default=NUMERIC,
                    help="kind for columns not named in --schema (default numeric)")
-    p.add_argument("--missing-token", dest="missing_token", default="",
+    p.add_argument("--missing-token", default="",
                    help="cell value treated as missing (default empty string)")
 
 
 def _add_target_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--prediction-column", dest="prediction_column",
-                   help="numeric column of predicted probabilities")
+    p.add_argument("--prediction-column", help="numeric column of predicted probabilities")
     p.add_argument("--threshold", type=float,
                    help="strict decision threshold for the prediction column")
-    p.add_argument("--target-column", dest="target_column",
-                   help="column holding the predicted class labels")
-    p.add_argument("--target-class", dest="target_class", default="1",
-                   help="class of interest (default '1')")
+    p.add_argument("--target-column", help="column holding the predicted class labels")
+    p.add_argument("--target-class", default="1", help="class of interest (default '1')")
 
 
 def _add_search_options(p: argparse.ArgumentParser) -> None:
     """Knobs shared by the search and the oracle; their defaults are
     ExtractionConfig's."""
-    p.add_argument("--min-support", dest="min_support", type=int)
-    p.add_argument("--max-rules", dest="max_rules", type=int)
-    p.add_argument("--n-grids", dest="n_grids", type=int)
+    p.add_argument("--min-support", type=int)
+    p.add_argument("--max-rules", type=int)
+    p.add_argument("--n-grids", type=int)
     p.add_argument("--strategy", choices=STRATEGIES)
 
 
 def _add_extraction_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--features", help="comma-separated feature names to search")
-    p.add_argument("--features-file", dest="features_file",
-                   help="JSON from select-features ({'features': [...]})")
+    p.add_argument("--features-file", help="JSON from select-features ({'features': [...]})")
     _add_search_options(p)
-    p.add_argument("--max-branches", dest="max_branches", type=int)
-    p.add_argument("--min-confidence", dest="min_confidence", type=_decimal)
+    p.add_argument("--max-branches", type=int)
+    p.add_argument("--min-confidence", type=_decimal)
 
 
 def build_parser() -> _Parser:
@@ -522,21 +511,18 @@ def build_parser() -> _Parser:
     _add_common(p)
     _add_data_options(p)
     p.add_argument("--matrix", help="importance-matrix CSV (header = feature names)")
-    p.add_argument("--scorer-kind", dest="scorer_kind", choices=attribution.SCORER_KINDS,
-                   default="logistic")
+    p.add_argument("--scorer-kind", choices=attribution.SCORER_KINDS, default="logistic")
     p.add_argument("--weights", help="comma-separated scorer weights")
     p.add_argument("--bias", type=float, default=0.0)
     p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--num-tests", dest="num_tests", type=int, default=200)
-    p.add_argument("--ig-steps", dest="ig_steps", type=int,
-                   default=attribution.DEFAULT_IG_STEPS)
-    p.add_argument("--shift-eps", dest="shift_eps", type=float,
-                   default=attribution.DEFAULT_SHIFT_EPS)
+    p.add_argument("--num-tests", type=int, default=200)
+    p.add_argument("--ig-steps", type=int, default=attribution.DEFAULT_IG_STEPS)
+    p.add_argument("--shift-eps", type=float, default=attribution.DEFAULT_SHIFT_EPS)
     p.add_argument("--coverage", type=_decimal, default=str(attribution.DEFAULT_COVERAGE),
                    help="row share the most frequent feature must keep (default 0.99)")
-    p.add_argument("--min-count", dest="min_count", type=int,
+    p.add_argument("--min-count", type=int,
                    help="itemset frequency floor (default 10%% of matrix rows)")
-    p.add_argument("--max-size", dest="max_size", type=int)
+    p.add_argument("--max-size", type=int)
     p.set_defaults(func=_cmd_select_features, seed=0)
 
     p = sub.add_parser("extract", help="search rule sets for the target subgroup")
@@ -551,9 +537,8 @@ def build_parser() -> _Parser:
     _add_data_options(p)
     _add_target_options(p)
     _add_extraction_options(p)
-    p.add_argument("--row-index", dest="row_index", type=int)
-    p.add_argument("--sample-file", dest="sample_file",
-                   help="JSON mapping feature names to values")
+    p.add_argument("--row-index", type=int)
+    p.add_argument("--sample-file", help="JSON mapping feature names to values")
     p.set_defaults(func=_cmd_explain)
 
     p = sub.add_parser("evaluate", help="recompute metrics for stored rule sets")
@@ -566,16 +551,15 @@ def build_parser() -> _Parser:
     p = sub.add_parser("threshold", help="ROC-based decision threshold (max TPR-FPR)")
     _add_common(p)
     _add_data_options(p)
-    p.add_argument("--prediction-column", dest="prediction_column")
-    p.add_argument("--label-column", dest="label_column")
-    p.add_argument("--label-class", dest="label_class", default="1")
+    p.add_argument("--prediction-column")
+    p.add_argument("--label-column")
+    p.add_argument("--label-class", default="1")
     p.set_defaults(func=_cmd_threshold)
 
     p = sub.add_parser("synth", help="generate a planted-rectangle dataset")
     _add_common(p)
-    p.add_argument("--spec-file", dest="spec_file", help="PlantedSpec JSON")
-    p.add_argument("--meta-out", dest="meta_out",
-                   help="where to write planted-rectangle occupancy JSON")
+    p.add_argument("--spec-file", help="PlantedSpec JSON")
+    p.add_argument("--meta-out", help="where to write planted-rectangle occupancy JSON")
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("oracle", help="exhaustive best rule set on small instances")

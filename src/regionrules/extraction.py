@@ -351,31 +351,21 @@ def _numeric_candidates(
         col.values, rows, target_rows, col.has_missing,
         config.n_grids, config.strategy, config.seed,
     )
-    grown: dict[tuple[int, int], GrownInterval] = {}
-    for p in find_peaks(merged):
-        res = gen_feature_interval(merged, p, config.min_support)
-        if res is not None:
-            grown.setdefault((res.lo_grid, res.hi_grid), res)
-
+    # the distinct intervals grown from the peaks, in peak order (None: a peak grew none)
+    grown = dict.fromkeys(
+        gen_feature_interval(merged, p, config.min_support) for p in find_peaks(merged)
+    )
     if sample_value is not _NO_SAMPLE:
-        # force the interval to cover the sample's grid (clamped to the range)
-        g = merged.n_grids
+        # the intervals covering the sample's grid (clamped to the range), else
+        # the one grown from that grid
         s_grid = int(np.searchsorted(merged.edges, float(sample_value), side="right")) - 1
-        s_grid = min(max(s_grid, 0), g - 1)
-        covering = {
-            k: v for k, v in grown.items() if v.lo_grid <= s_grid <= v.hi_grid
-        }
-        if covering:
-            grown = covering
-        else:
-            res = gen_feature_interval(merged, s_grid, config.min_support)
-            grown = (
-                {(res.lo_grid, res.hi_grid): res} if res is not None else {}
-            )
-
+        s_grid = min(max(s_grid, 0), merged.n_grids - 1)
+        grown = [r for r in grown if r is not None and r.lo_grid <= s_grid <= r.hi_grid] or [
+            gen_feature_interval(merged, s_grid, config.min_support)
+        ]
     out = [
-        _screen_interval(feature, merged, res, config.min_support, on_edge)
-        for res in grown.values()
+        _screen_interval(feature, merged, r, config.min_support, on_edge)
+        for r in grown if r is not None
     ]
     return out, (merged.edges, merged.target_counts, merged.total_counts)
 

@@ -84,9 +84,7 @@ def evaluate(table: DataTable, target, rule_sets) -> EvaluationReport:
     )
 
 
-def format_rule(
-    table: DataTable, rule: Rule, sig_digits: int = 6, ranges: dict | None = None
-) -> str:
+def format_rule(table: DataTable, rule: Rule, ranges: dict | None = None) -> str:
     """Human-readable predicate; intervals reaching the feature's observed
     min/max are rendered one-sided. ``ranges`` keeps each column's observed
     (min, max) across calls, so a report scans a column once."""
@@ -94,7 +92,7 @@ def format_rule(
     if isinstance(rule.predicate, CategoryEquals):
         return f"{col.name} == {rule.predicate.token!r}"
     lo, hi = rule.predicate.lo, rule.predicate.hi
-    fmt = lambda v: f"{v:.{sig_digits}g}"
+    fmt = lambda v: f"{v:.6g}"
     if col.kind == NUMERIC:
         ranges = {} if ranges is None else ranges
         if col.name not in ranges:

@@ -92,7 +92,7 @@ class TestBuildImportanceMatrix:
         scorer = DifferentiableScorer("linear", (1.0,))
         m = build_importance_matrix(scorer, [[0.0]], [[1.0]])
         assert m.n_rows == 1
-        assert m.pair_index == ((0, 0),)
+        assert np.array_equal(m.scores, [[1.0]])
 
     def test_no_baselines(self):
         scorer = DifferentiableScorer("linear", (1.0,))
@@ -109,12 +109,14 @@ class TestBuildImportanceMatrix:
             build_importance_matrix(scorer, [[1.0]], [[1.0], [1.0]])
 
     def test_row_count_equals_usable_pairs(self):
-        scorer = DifferentiableScorer("linear", (1.0,))
-        baselines = [[0.0], [1.0]]
-        tests = [[1.0], [2.0], [3.0]]  # pair (baseline 1, test 0) degenerates
+        scorer = DifferentiableScorer("linear", (1.0, 1.0))
+        baselines = [[0.0, 0.0], [1.0, 0.0]]
+        tests = [[1.0, 0.0], [0.0, 2.0], [3.0, 1.0]]  # pair (baseline 1, test 0) degenerates
         m = build_importance_matrix(scorer, baselines, tests)
         assert m.n_rows == 5
-        assert (1, 0) not in m.pair_index
+        # |(test - baseline) / shift| per usable pair, in (baseline, test) order
+        expected = [[1.0, 0.0], [0.0, 1.0], [0.75, 0.25], [1.0, 2.0], [2 / 3, 1 / 3]]
+        assert np.allclose(m.scores, expected)
 
     def test_scores_are_nonnegative(self):
         rng = np.random.default_rng(2)

@@ -708,10 +708,11 @@ class TestSynth:
         assert a.read_bytes() == b.read_bytes()
 
     def test_fixture_spec_writes_the_fixture_csv(self, tmp_path, capsys):
-        out = tmp_path / "d.csv"
+        out, meta = tmp_path / "d.csv", tmp_path / "meta.json"
         assert run(capsys, "synth", "--spec-file", FIXTURES / "two_mode_spec.json",
-                   "--out", out)[0] == 0
+                   "--out", out, "--meta-out", meta)[0] == 0
         assert out.read_bytes() == (FIXTURES / "two_mode.csv").read_bytes()
+        assert meta.read_bytes() == (FIXTURES / "two_mode_meta.json").read_bytes()
 
     def test_meta_reports_mode_occupancy(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
@@ -876,6 +877,14 @@ class TestConfigFile:
         assert code == 0
         config = json.loads(out.read_text())["config"]
         assert (config["min_support"], config["max_rules"], config["n_grids"]) == (150, 2, 10)
+
+    @pytest.mark.parametrize("command", sorted(cli.build_parser().commands))
+    def test_every_key_is_its_option_name(self, command):
+        """Each long option's config key (its dest) is its name with ``_`` for ``-``."""
+        sub = cli.build_parser().commands[command]
+        names = [(o, a.dest) for a in sub._actions for o in a.option_strings if o.startswith("--")]
+        assert len(names) > 3
+        assert [dest for _, dest in names] == [o[2:].replace("-", "_") for o, _ in names]
 
     def test_keys_of_other_subcommands_are_ignored(self, tmp_path, capsys):
         text = "row-index = first\nweights = heavy\nlabel_column = nope\nspec_file = 3\n"

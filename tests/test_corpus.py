@@ -1,4 +1,4 @@
-"""Byte-identity gate on a seeded random corpus of small mixed tables.
+"""Byte-identity gate on a seeded random corpus of mixed tables, small and large.
 
 Each case is one table, one binning strategy and one drawn search config.
 It builds the three outputs that ``extract``, ``explain --row-index`` (for
@@ -8,7 +8,7 @@ functions those commands call, and stores the SHA-256 of each in
 histograms of ``extract``; the local rule set of ``explain``; the recounted
 report of ``evaluate``. A command that fails contributes its error class and
 message. Tables are built in memory, so CSV parsing and option handling are
-left to the golden files, and the 2,700 outputs take a few seconds. Any
+left to the golden files, and the 2,970 outputs take a few seconds. Any
 change to a rule set, a histogram, a local explanation or a recount on any
 case fails here. The generator below is frozen: it must not change, so it
 does not share code with the other tests' random tables. Edges depend on
@@ -41,6 +41,7 @@ from regionrules.serialize import rule_set_to_dict
 
 CORPUS = Path(__file__).parent / "fixtures" / "corpus.json"
 N_TABLES = 300
+SMALL_ROWS = (40, 400)
 STRATEGIES = ("uniform", "quantile", "kmeans")
 # Large tables, drawn as the small ones but with 5,000-8,000 rows, so that
 # numeric histograms at many grids are counted by comparison passes
@@ -49,7 +50,7 @@ LARGE_SEEDS = range(1000, 1030)
 LARGE_ROWS = (5000, 8000)
 
 
-def corpus_table(index: int, rows: tuple[int, int] = (40, 400)):
+def corpus_table(index: int, rows: tuple[int, int] = SMALL_ROWS):
     """Table ``index`` of the corpus, drawn from ``default_rng(index)`` with
     ``rows`` bounding its row count: the feature table, the target and the
     rows that miss no feature. Frozen: any change here changes the corpus."""
@@ -130,7 +131,7 @@ def _explained(table, target, features, sample, config):
     return rule_set_to_dict(table, local) if local else None
 
 
-def case_digests(index: int, rows: tuple[int, int] = (40, 400)) -> dict[str, dict[str, str]]:
+def case_digests(index: int, rows: tuple[int, int] = SMALL_ROWS) -> dict[str, dict[str, str]]:
     """Per strategy, the digests of table ``index``'s three outputs."""
     table, target, complete = corpus_table(index, rows)
     features = list(range(len(table.columns)))
@@ -187,9 +188,12 @@ def test_every_large_corpus_case_matches_its_stored_digests(monkeypatch):
     stored = json.loads(CORPUS.read_text(encoding="utf-8"))
     counted = []
     blocked_counts = binning._blocked_counts
-    monkeypatch.setattr(
-        binning, "_blocked_counts", lambda edges, a: counted.append(len(a)) or blocked_counts(edges, a)
-    )
+
+    def counting(edges, a):
+        counted.append(len(a))
+        return blocked_counts(edges, a)
+
+    monkeypatch.setattr(binning, "_blocked_counts", counting)
     changed = _changed(stored["large_cases"], large_corpus_digests())
     assert not changed, (
         f"{len(changed)} large corpus outputs changed (written with numpy {stored['numpy']}, "
