@@ -2,11 +2,11 @@
 
 Subcommands: select-features, extract, explain, evaluate, threshold, synth,
 oracle. Every knob can come from a flat ``key = value`` config file
-(``--config``): its entries become the subcommand's defaults, and
-command-line flags override them. Side files (config, features, sample,
-rules, spec) are UTF-8 with an optional BOM. Exit codes: 0 ok, else the
-``exit_code`` of the error met: 1 usage error, 2 data error or unreadable
-file, 3 infeasible configuration, 4 empty result.
+(``--config``): each entry is read as the argument ``--key=value`` placed
+before the command line's flags, which so override it. Side files (config,
+features, sample, rules, spec) are UTF-8 with an optional BOM. Exit codes:
+0 ok, else the ``exit_code`` of the error met: 1 usage error, 2 data error
+or unreadable file, 3 infeasible configuration, 4 empty result.
 Log verbosity comes from the ``REGIONRULES_LOG`` environment variable.
 """
 
@@ -57,6 +57,7 @@ from .serialize import rule_set_to_dict, rules_from_dict
 from .synth import PlantedMode, PlantedSpec, brute_force_best, gen_synthetic
 from .tabular import (
     CATEGORICAL,
+    KINDS,
     NUMERIC,
     DataTable,
     FeatureColumn,
@@ -74,18 +75,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # a usage error is exit 1 with one JSON line
         raise ConfigError(message)
 
-    def set_config_defaults(self, path: str) -> None:
-        """Make a config file's entries the defaults of this parser's options,
-        each converted by its option's ``type``; other keys are ignored."""
-        actions = {a.dest: a for a in self._actions}
-        for key, raw in _load_config_file(path).items():
-            if (action := actions.get(key)) is None:
-                continue
-            try:
-                self.set_defaults(**{key: action.type(raw) if action.type else raw})
-            except ValueError:
-                raise ConfigError(f"config key {key!r}: cannot parse {raw!r}") from None
-
 
 def _side_json(path: str):
     """A side file's JSON value; malformed or too deeply nested JSON is a
@@ -96,16 +85,17 @@ def _side_json(path: str):
         raise ParseError(f"{path} is not readable JSON: {exc}") from None
 
 
-def _load_config_file(path: str) -> dict:
-    out = {}
+def _config_args(path: str) -> list[str]:
+    """A config file's ``key = value`` entries as ``--key=value`` arguments."""
+    out = []
     for lineno, raw in enumerate(read_text(path).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
+        key, eq, value = line.partition("=")
+        if not eq or not key.strip():
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-        key, value = line.split("=", 1)
-        out[key.strip().replace("-", "_")] = value.strip()
+        out.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
     return out
 
 
@@ -149,10 +139,7 @@ def _schema(args: argparse.Namespace) -> defaultdict[str, str]:
                 raise ConfigError(f"--schema entry {part!r} must be name:kind")
             name, kind = part.rsplit(":", 1)
             declared[name.strip()] = kind.strip()
-    default_kind = args.default_kind
-    if default_kind not in (NUMERIC, CATEGORICAL):
-        raise ConfigError("--default-kind must be numeric or categorical")
-    return defaultdict(lambda: default_kind, declared)
+    return defaultdict(lambda: args.default_kind, declared)
 
 
 def _load_table(args: argparse.Namespace, columns: list[str] | None = None) -> DataTable:
@@ -373,9 +360,10 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     target, features = _build_target(args, table)
     rule_lists = [rules_from_dict(features, d) for d in dicts]
     report = metrics.evaluate(features, target, rule_lists)
-    if args.out not in (None, "-"):
+    if args.out is not None:
         _emit(metrics.report_json(features, report), args.out)
-    print(metrics.report_text(features, report))
+    if args.out != "-":
+        print(metrics.report_text(features, report))
     return 0
 
 
@@ -464,13 +452,12 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key = value file; flags override it")
     p.add_argument("--out", help="output path for JSON ('-' or omitted: stdout)")
-    p.add_argument("--seed", type=int)
 
 
 def _add_data_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", help="feature CSV with a header row")
     p.add_argument("--schema", help="comma-separated name:kind declarations")
-    p.add_argument("--default-kind", default=NUMERIC,
+    p.add_argument("--default-kind", choices=KINDS, default=NUMERIC,
                    help="kind for columns not named in --schema (default numeric)")
     p.add_argument("--missing-token", default="",
                    help="cell value treated as missing (default empty string)")
@@ -491,6 +478,7 @@ def _add_search_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-rules", type=int)
     p.add_argument("--n-grids", type=int)
     p.add_argument("--strategy", choices=STRATEGIES)
+    p.add_argument("--seed", type=int)
 
 
 def _add_extraction_options(p: argparse.ArgumentParser) -> None:
@@ -505,7 +493,6 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="regionrules", description=__doc__)
     parser.add_argument("--version", action="version", version="%(prog)s 0.1.0")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    parser.commands = sub.choices
 
     p = sub.add_parser("select-features", help="mine a frequently important feature set")
     _add_common(p)
@@ -523,7 +510,8 @@ def build_parser() -> _Parser:
     p.add_argument("--min-count", type=int,
                    help="itemset frequency floor (default 10%% of matrix rows)")
     p.add_argument("--max-size", type=int)
-    p.set_defaults(func=_cmd_select_features, seed=0)
+    p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(func=_cmd_select_features)
 
     p = sub.add_parser("extract", help="search rule sets for the target subgroup")
     _add_common(p)
@@ -575,11 +563,13 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     logging.basicConfig(level=os.environ.get("REGIONRULES_LOG", "WARNING").upper())
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
-        if args.config:
-            parser.commands[args.command].set_config_defaults(args.config)
-            args = parser.parse_args(argv)  # flags override the file's entries
+        if args.config:  # file entries go before the flags, which so override them;
+            # argv passed parse_args, so the leftovers are keys that name no option
+            at = argv.index(args.command) + 1
+            args, _ = parser.parse_known_args([*argv[:at], *_config_args(args.config), *argv[at:]])
         return args.func(args)
     except SystemExit as exc:  # -h and --version
         return int(exc.code or 0)

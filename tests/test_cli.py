@@ -1,3 +1,4 @@
+import argparse
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -138,6 +139,12 @@ class TestSelectFeatures:
         assert out == ""
         assert len(err.splitlines()) == 1
         assert json.loads(err)["error"] == "ConfigError"
+
+
+def subcommands() -> dict:
+    """Each subcommand's parser by name."""
+    actions = cli.build_parser()._actions
+    return next(a.choices for a in actions if isinstance(a, argparse._SubParsersAction))
 
 
 def one_error_line(err: str) -> str:
@@ -554,6 +561,17 @@ class TestEvaluate:
             assert s["confidence"] == r["confidence"]
             assert s["fitness"] == r["fitness"]
 
+    def test_out_dash_writes_the_json_report_alone_to_stdout(self, tmp_path, capsys):
+        rules = tmp_path / "rules.json"
+        rules.write_text(json.dumps([{"rules": [
+            {"feature": "f0", "op": "in_interval", "lo": 0.6, "hi": 0.7}]}]))
+        args = ["evaluate", "--data", FIXTURES / "two_mode.csv", "--target-column", "label",
+                "--rules", rules, "--out"]
+        code, out, _ = run(capsys, *args, "-")
+        assert code == 0
+        assert run(capsys, *args, tmp_path / "report.json")[0] == 0
+        assert json.loads(out) == json.loads((tmp_path / "report.json").read_text())
+
 
     @pytest.fixture()
     def missing_group_csv(self, tmp_path):
@@ -838,7 +856,11 @@ class TestNegativeSeed:
 
 
 class TestConfigFile:
-    """Entries of a --config file are defaults of the subcommand's options."""
+    """A --config file's entries are read as the subcommand's own flags,
+    placed before the command line's."""
+
+    FLAGS = ["--data", FIXTURES / "two_mode.csv", "--target-column", "label",
+             "--min-support", "150", "--max-rules", "1"]
 
     def extract(self, tmp_path, capsys, text, *flags):
         cfg = tmp_path / "run.cfg"
@@ -849,6 +871,11 @@ class TestConfigFile:
         code, out, err = run(capsys, "extract", "--config", cfg, *flags)
         return code, (json.loads(out) if code == 0 else out), err
 
+    def flag_error(self, capsys, *flag):
+        code, out, err = run(capsys, "extract", *self.FLAGS, *flag)
+        assert (code, out) == (1, "")
+        return err
+
     def test_flag_beats_file_beats_default(self, tmp_path, capsys):
         n_grids = [
             self.extract(tmp_path, capsys, text, *flags)[1]["config"]["n_grids"]
@@ -858,11 +885,61 @@ class TestConfigFile:
         assert n_grids == [7, 5, 6]
 
     def test_unparsable_value(self, tmp_path, capsys):
-        code, out, err = self.extract(tmp_path, capsys, "n-grids = ten\n")
-        assert (code, out) == (1, "")
-        assert json.loads(err) == {
-            "error": "ConfigError", "message": "config key 'n_grids': cannot parse 'ten'",
+        """The same message as the flag's."""
+        flag_err = self.flag_error(capsys, "--n-grids", "ten")
+        assert json.loads(flag_err) == {
+            "error": "ConfigError", "message": "argument --n-grids: invalid int value: 'ten'",
         }
+        assert self.extract(tmp_path, capsys, "n-grids = ten\n") == (1, "", flag_err)
+
+    @pytest.mark.parametrize("key, value", [("strategy", "median"), ("default-kind", "text")])
+    def test_value_outside_the_choices(self, tmp_path, capsys, key, value):
+        flag_err = self.flag_error(capsys, f"--{key}", value)
+        assert "invalid choice" in flag_err
+        assert self.extract(tmp_path, capsys, f"{key} = {value}\n") == (1, "", flag_err)
+
+    def test_a_key_may_be_a_prefix_of_its_option(self, tmp_path, capsys):
+        code, payload, _ = self.extract(tmp_path, capsys, "max-b = 1\n")
+        assert code == 0
+        assert payload["config"]["max_branches"] == 1
+
+    @pytest.mark.parametrize("line", ["min = 5", "= 3", "help = 1"])
+    def test_ambiguous_empty_or_help_key_is_a_usage_error(self, tmp_path, capsys, line):
+        code, out, err = self.extract(tmp_path, capsys, line + "\n")
+        assert (code, out) == (1, "")
+        assert one_error_line(err) == "ConfigError"
+
+    @pytest.mark.parametrize("command", ["evaluate", "threshold", "synth"])
+    def test_commands_without_a_seed(self, tmp_path, capsys, command):
+        """They reject the flag and ignore the config key."""
+        rules = tmp_path / "rules.json"
+        rules.write_text(json.dumps([{"rules": []}]))
+        data = ["--data", FIXTURES / "two_mode.csv"]
+        argv = {
+            "evaluate": [*data, "--target-column", "label", "--rules", rules],
+            "threshold": [*data, "--prediction-column", "f0", "--label-column", "label"],
+            "synth": ["--spec-file", FIXTURES / "two_mode_spec.json",
+                      "--out", tmp_path / "synth.csv"],
+        }[command]
+        code, out, err = run(capsys, command, *argv, "--seed", "0")
+        assert (code, out) == (1, "")
+        assert json.loads(err)["message"] == "unrecognized arguments: --seed 0"
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text("seed = 3\n")
+        plain = run(capsys, command, *argv)
+        assert plain[0] == 0
+        assert run(capsys, command, "--config", cfg, *argv) == plain
+
+    def test_a_config_run_leaves_the_parser_unchanged(self, tmp_path, capsys, monkeypatch):
+        parser = cli.build_parser()
+        monkeypatch.setattr(cli, "build_parser", lambda: parser)
+        n_grids = [
+            self.extract(tmp_path, capsys, text)[1]["config"]["n_grids"]
+            for text in ("n-grids = 5\n", "n-grids = 6\n")
+        ]
+        code, out, _ = run(capsys, "extract", *self.FLAGS)
+        assert code == 0
+        assert [*n_grids, json.loads(out)["config"]["n_grids"]] == [5, 6, 7]
 
     def test_malformed_line(self, tmp_path, capsys):
         code, out, err = self.extract(tmp_path, capsys, "# comment\n\nseed 3\n")
@@ -878,10 +955,11 @@ class TestConfigFile:
         config = json.loads(out.read_text())["config"]
         assert (config["min_support"], config["max_rules"], config["n_grids"]) == (150, 2, 10)
 
-    @pytest.mark.parametrize("command", sorted(cli.build_parser().commands))
+    @pytest.mark.parametrize("command", sorted(subcommands()))
     def test_every_key_is_its_option_name(self, command):
-        """Each long option's config key (its dest) is its name with ``_`` for ``-``."""
-        sub = cli.build_parser().commands[command]
+        """Each long option's dest, the name handlers read it by, is its name
+        with ``_`` for ``-``."""
+        sub = subcommands()[command]
         names = [(o, a.dest) for a in sub._actions for o in a.option_strings if o.startswith("--")]
         assert len(names) > 3
         assert [dest for _, dest in names] == [o[2:].replace("-", "_") for o, _ in names]
