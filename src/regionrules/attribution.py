@@ -178,18 +178,24 @@ def load_importance_matrix(path) -> ImportanceMatrix:
         width, n_rows = len(header), 0
         buf = array("d")
         for rows, cells in read(range(width), _CHUNK_CELLS):
-            try:
-                block = np.fromiter(map(float, cells), np.float64, len(cells))
-            except ValueError:
-                for i, k in zip(rows, range(0, len(cells), width)):  # the first bad row
-                    try:
-                        list(map(float, cells[k : k + width]))
-                    except ValueError:
-                        raise ParseError(f"unparseable number in row {i}", row=i) from None
+            block = cells.block()
+            if block is None:
+                block = _scores(cells.strings(range(width)), rows, width)
             buf.frombytes(block.view(np.uint8))  # frombytes takes a buffer of bytes
             n_rows = rows.stop
     scores = np.frombuffer(buf, np.float64).reshape(n_rows, width)
     return ImportanceMatrix(scores=scores, feature_names=tuple(header))
+
+
+def _scores(cells: list[str], rows: range, width: int) -> np.ndarray:
+    try:
+        return np.fromiter(map(float, cells), np.float64, len(cells))
+    except ValueError:
+        for i, k in zip(rows, range(0, len(cells), width)):  # the first bad row
+            try:
+                list(map(float, cells[k : k + width]))
+            except ValueError:
+                raise ParseError(f"unparseable number in row {i}", row=i) from None
 
 
 def _required_rows(gamma: float, n_rows: int) -> int:

@@ -13,7 +13,9 @@ Log verbosity comes from the ``REGIONRULES_LOG`` environment variable.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import functools
 import json
 import logging
 import os
@@ -405,11 +407,14 @@ def _planted_spec(path: str) -> PlantedSpec:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
+    to_stdout = args.out in (None, "-")
+    if to_stdout and args.meta_out == "-":
+        raise ConfigError("--out and --meta-out cannot both write to stdout")
     spec = _planted_spec(_required(args, "spec_file"))
     table, target, summaries = gen_synthetic(spec)
 
-    out_path = _required(args, "out")
-    with open(out_path, "w", newline="", encoding="utf-8") as fh:
+    with contextlib.nullcontext(sys.stdout) if to_stdout else \
+            open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(table.feature_names + ["label"])
         columns = [map(repr, c.values.tolist()) for c in table.columns]
@@ -511,14 +516,12 @@ def build_parser() -> _Parser:
                    help="itemset frequency floor (default 10%% of matrix rows)")
     p.add_argument("--max-size", type=int)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_select_features)
 
     p = sub.add_parser("extract", help="search rule sets for the target subgroup")
     _add_common(p)
     _add_data_options(p)
     _add_target_options(p)
     _add_extraction_options(p)
-    p.set_defaults(func=_cmd_extract)
 
     p = sub.add_parser("explain", help="rule set constrained to cover one sample")
     _add_common(p)
@@ -527,14 +530,12 @@ def build_parser() -> _Parser:
     _add_extraction_options(p)
     p.add_argument("--row-index", type=int)
     p.add_argument("--sample-file", help="JSON mapping feature names to values")
-    p.set_defaults(func=_cmd_explain)
 
     p = sub.add_parser("evaluate", help="recompute metrics for stored rule sets")
     _add_common(p)
     _add_data_options(p)
     _add_target_options(p)
     p.add_argument("--rules", help="rule-set JSON (extract output or bare list)")
-    p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("threshold", help="ROC-based decision threshold (max TPR-FPR)")
     _add_common(p)
@@ -542,27 +543,29 @@ def build_parser() -> _Parser:
     p.add_argument("--prediction-column")
     p.add_argument("--label-column")
     p.add_argument("--label-class", default="1")
-    p.set_defaults(func=_cmd_threshold)
 
     p = sub.add_parser("synth", help="generate a planted-rectangle dataset")
     _add_common(p)
     p.add_argument("--spec-file", help="PlantedSpec JSON")
     p.add_argument("--meta-out", help="where to write planted-rectangle occupancy JSON")
-    p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("oracle", help="exhaustive best rule set on small instances")
     _add_common(p)
     _add_data_options(p)
     _add_target_options(p)
     _add_search_options(p)
-    p.set_defaults(func=_cmd_oracle)
 
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    return build_parser()  # nothing changes a built parser, so one serves every call
+
+
 def main(argv=None) -> int:
     logging.basicConfig(level=os.environ.get("REGIONRULES_LOG", "WARNING").upper())
-    parser = build_parser()
+    parser = _parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
@@ -570,7 +573,8 @@ def main(argv=None) -> int:
             # argv passed parse_args, so the leftovers are keys that name no option
             at = argv.index(args.command) + 1
             args, _ = parser.parse_known_args([*argv[:at], *_config_args(args.config), *argv[at:]])
-        return args.func(args)
+        # the handler is looked up by name when it runs, not bound in the shared parser
+        return globals()["_cmd_" + args.command.replace("-", "_")](args)
     except SystemExit as exc:  # -h and --version
         return int(exc.code or 0)
     # an unreadable file, or an input too large to allocate, is a data error

@@ -202,6 +202,7 @@ def target_flags(target, n_rows: int) -> np.ndarray:
 _CHUNK_ROWS = 2048  # rows whose cell strings are alive at once
 _WINDOW = 1 << 20  # bytes read at a time; only a longer line grows the buffer
 _TEXT = 1 << 16  # bytes decoded for one StringIO, which holds 4 bytes per character
+_PAD = 16  # bytes before a chunk's first cell, so that every cell has a 16-byte window
 
 
 @contextmanager
@@ -210,8 +211,11 @@ def read_csv(path, empty_message: str):
     manager; a header that repeats a name raises SchemaError.
     ``read(js, max_cells=None)``, called once with increasing column indices,
     yields ``(rows, cells)`` chunks: ``rows`` is the range of their 0-based
-    data rows, ``cells`` the strings of their ``js`` cells in row order
-    (column ``js[k]`` is ``cells[k::len(js)]``). A chunk has at most
+    data rows, ``cells`` their ``js`` cells (``len`` counts them), which
+    ``cells.strings(ks)`` returns as strings in row order, ``ks`` being
+    ascending positions in ``js``; ``cells.numbers(ks)`` and
+    ``cells.block()`` read plain decimals from the file's bytes where they
+    can (see :func:`_decimals`). A chunk has at most
     ``_CHUNK_ROWS`` rows and, with ``max_cells``, at most that many cells but
     at least one row. The file is read whole lines at a time through one
     reused buffer of about ``_WINDOW`` bytes, so neither it nor its text is
@@ -346,7 +350,7 @@ def _cells(pieces, width: int, js, max_cells: int | None = None):
     row = 0
     for piece in pieces:
         if isinstance(piece, tuple):
-            yield from _split_cells(*piece, width, js, row, step)
+            yield from _split_cells(*piece, width, np.asarray(js, dtype=np.intp), row, step)
             row += len(piece[1]) - 1
         else:  # the last piece
             yield from _csv_cells(piece, width, js, row, step)
@@ -356,30 +360,170 @@ def _split_cells(buf: np.ndarray, ends: np.ndarray, width: int, js, row: int, st
     """read(js) of the lines of ``buf`` that end at ``ends[1:]``, the first
     of them data row ``row``, ``step`` lines at a time; none has a quote,
     CR or NUL or is blank. Commas and newlines never occur inside a
-    multi-byte UTF-8 sequence, so cells are cut at byte offsets and only the
-    ``js`` cells become strings."""
+    multi-byte UTF-8 sequence, so cells are cut at byte offsets."""
     comma = np.uint8(ord(","))
-    is_read = np.isin(np.arange(width), js)
     for start in range(0, len(ends) - 1, step):
         lo = ends[start] + 1
         line_ends = ends[start + 1 : start + 1 + step] - lo
-        chunk = np.append(buf[lo : lo + line_ends[-1]], comma)  # a writable copy
-        chunk[line_ends] = comma  # every cell now ends in a comma
-        seps = np.flatnonzero(chunk == comma)
-        widths = np.diff(np.searchsorted(seps, line_ends, side="right"), prepend=0)
+        # _PAD zero bytes, then a comma, then the lines with every line end
+        # made a comma: each cell of the copy lies between two commas
+        chunk = np.empty(_PAD + line_ends[-1] + 1, np.uint8)
+        chunk[: _PAD - 1] = 0
+        chunk[_PAD - 1] = comma
+        chunk[_PAD : _PAD + line_ends[-1]] = buf[lo : lo + line_ends[-1]]
+        chunk[line_ends + _PAD] = comma
+        seps = np.flatnonzero(chunk[_PAD - 1 :] == comma)
+        widths = np.diff(np.searchsorted(seps, line_ends + 1, side="right"), prepend=1)
         bad = np.flatnonzero(widths != width)
         n = int(bad[0]) if len(bad) else len(widths)
-        picked = chunk[: seps[n * width - 1] + 1 if n else 0]
-        if len(js) < width:  # the read cells, each with its comma
-            sizes = np.diff(seps[: n * width], prepend=-1)
-            picked = picked[np.repeat(np.tile(is_read, n), sizes)]
-        cells = picked.tobytes().decode().split(",")
-        cells.pop()
         i = row + start
         if n:
-            yield range(i, i + n), cells
+            yield range(i, i + n), _ByteCells(chunk, seps[: n * width + 1], width, js)
         if n < len(widths):
             raise ParseError(f"row {i + n} has {widths[n]} cells, expected {width}", row=i + n)
+
+
+class _ByteCells:
+    """The read cells of one chunk of the byte path. Cell k of row r lies
+    between the commas at ``seps[r * width + js[k]]`` and the next one, as
+    offsets into ``chunk[_PAD - 1:]``; ``ks`` name read columns by position
+    in ``js``, in ascending order."""
+
+    def __init__(self, chunk, seps, width: int, js):
+        self.chunk, self.seps, self.width, self.js = chunk, seps, width, js
+        self.n = (len(seps) - 1) // width
+
+    def __len__(self) -> int:
+        return self.n * len(self.js)
+
+    def _bounds(self, ks):
+        """Start and end offsets of the cells of ``ks``, (rows, len(ks)) each."""
+        cols = self.js[ks]
+        if len(cols) == self.width:  # every column, in order
+            cols = slice(None)
+        starts = self.seps[:-1].reshape(self.n, self.width)[:, cols] + 1
+        return starts, self.seps[1:].reshape(self.n, self.width)[:, cols]
+
+    def strings(self, ks) -> list[str]:
+        """The cells of ``ks`` in row order; column ``ks[i]`` is ``[i::len(ks)]``."""
+        picked = self.chunk[_PAD : _PAD + self.seps[-1]]  # each cell with its comma
+        if len(ks) < self.width:
+            wanted = np.zeros(self.width, bool)
+            wanted[self.js[ks]] = True
+            picked = picked[np.repeat(np.tile(wanted, self.n), np.diff(self.seps))]
+        cells = picked.tobytes().decode().split(",")
+        cells.pop()
+        return cells
+
+    def numbers(self, ks) -> dict:
+        """The float64 values of those columns of ``ks`` whose cells all read
+        as decimals (see :func:`_decimals`; a blank cell is NaN), by column.
+        The columns whose first present cells have the same number of
+        fraction digits are read together."""
+        starts, ends = self._bounds(ks)
+        if (ends[0] - starts[0] > 17).all():  # no first cell is short enough, as in repr floats
+            return {}
+        first, at = np.argmax(ends > starts, axis=0), np.arange(len(ks))
+        counts = _fraction_digits(self.chunk, starts[first, at], ends[first, at])
+        out = {}
+        for f in set(counts.tolist()) - {15}:
+            group = np.flatnonzero(counts == f)
+            values, read = _decimals(self.chunk, starts[:, group], ends[:, group], f, True)
+            out.update((ks[i], values[:, g].copy()) for g, i in enumerate(group) if read[g])
+        return out
+
+    def block(self):
+        """All read cells as one (rows, len(js)) float64 group, its fraction
+        digits those of the first cell, or None unless every cell reads as a
+        decimal (see :func:`_decimals`; a blank cell does not)."""
+        starts, ends = self._bounds(slice(None))
+        f = _fraction_digits(self.chunk, starts[0, :1], ends[0, :1])[0]
+        values, read = _decimals(self.chunk, starts, ends, int(f), False)
+        return values if read.all() else None
+
+
+class _TextCells(list):
+    """The read cells of one chunk of csv.reader rows, in row order; no cell
+    is read as a decimal from bytes."""
+
+    def __init__(self, cells, m: int):
+        super().__init__(cells)
+        self.m = m
+
+    def strings(self, ks) -> list[str]:
+        if len(ks) == self.m:
+            return self
+        return [self[r + k] for r in range(0, len(self), self.m) for k in ks]
+
+    def numbers(self, ks) -> dict:
+        return {}
+
+    def block(self):
+        return None
+
+
+_U64 = np.uint64
+_ZEROS = _U64(0x3030303030303030)  # eight "0" bytes
+_PAIRS = _U64(0x000000FF000000FF)
+_KEEP = np.array([(1 << 64) - (1 << 8 * p) for p in range(9)], _U64)  # all but the p low bytes
+
+
+def _fraction_digits(chunk, starts, ends) -> np.ndarray:
+    """How many of the last 16 bytes of each cell between ``starts`` and
+    ``ends`` (offsets into ``chunk[_PAD - 1:]``) follow its last point, 0
+    where they hold none; 15 for a cell too long to read as a decimal."""
+    size = ends - starts
+    last = np.ndarray((len(chunk) - 15, 16), np.uint8, chunk, 0, (1, 1))[ends + _PAD - 17]
+    point = (last == ord(".")) & (np.arange(16) >= 16 - size[:, None])
+    counts = np.where(point.any(axis=1), np.argmax(point[:, ::-1], axis=1), 0)
+    counts[size > 17] = 15
+    return counts
+
+
+def _decimals(chunk, starts, ends, f: int, blank: bool):
+    """The cells between ``starts`` and ``ends`` (offsets into
+    ``chunk[_PAD - 1:]``, one shape) as float64, and per column (last axis)
+    whether all of them read as decimals: ``-?[0-9]+`` then, when ``f``, a
+    point and ``f`` digits, with at most 15 digits in all, or blank (NaN)
+    where ``blank``. Such a cell is ``m / 10**f`` with both exact doubles
+    (m < 10**15), so one division rounds it as ``float()`` does (Clinger,
+    PLDI 1990). Each cell is read from the 8 or 16 bytes that end it, as
+    little-endian words (first character lowest): bytes before its digits
+    become zeros, and the point, whose place is fixed by ``f``, is dropped."""
+    if f > 14:  # no cell has more than 15 digits
+        return None, np.zeros(starts.shape[1:], bool)
+    size = ends - starts
+    neg = chunk[_PAD - 1 :][starts] == ord("-")
+    digits = size - neg - (f > 0)
+    empty = (size == 0) & blank
+    read = (digits > f) & (digits <= 15) | empty
+    if not read.all(axis=0).any():
+        return None, np.zeros(read.shape[1:], bool)
+    n_words = 2 if f > 6 or digits.max(initial=0) > 7 else 1
+    words = np.ndarray((len(chunk) - 7,), "<u8", chunk, 0, (1,))
+    xs = [words[ends + (_PAD - 1 - 8 * (n_words - w))] for w in range(n_words)]
+    if f:  # the bytes before the point move up one place
+        w, q = divmod(8 * n_words - 1 - f, 8)
+        x = xs[w]
+        read &= (x >> _U64(8 * q)) & _U64(255) == ord(".")
+        low = _U64((1 << 8 * q) - 1)
+        xs[w] = (x & low) << _U64(8) | x & _KEEP[q + 1]
+        if w:
+            xs[w] |= xs[0] >> _U64(56)
+            xs[0] <<= _U64(8)
+    m = 0
+    for w, x in enumerate(xs):
+        x ^= _ZEROS  # a digit byte now holds its value
+        x &= _KEEP[np.clip(8 * (n_words - w) - digits, 0, 8)]  # bytes before the digits
+        read &= (x + _U64(0x0606060606060606) | x) & _U64(0xF0F0F0F0F0F0F0F0) == 0
+        x = x * _U64(10) + (x >> _U64(8))  # two digits per 16 bits, then eight per word
+        x = (x & _PAIRS) * _U64(100 + (1000000 << 32)) \
+            + (x >> _U64(16) & _PAIRS) * _U64(1 + (10000 << 32)) >> _U64(32)
+        m = m * _U64(10**8) + x
+    values = m.astype(np.float64) / 10.0**f
+    np.negative(values, out=values, where=neg)
+    values[empty] = np.nan
+    return values, (read | empty).all(axis=0)
 
 
 def _csv_cells(rows, width: int, js, row: int, step: int):
@@ -388,7 +532,7 @@ def _csv_cells(rows, width: int, js, row: int, step: int):
     while chunk := list(islice(rows, step)):
         n = next((i for i, r in enumerate(chunk) if len(r) != width), len(chunk))
         if n:
-            yield range(row, row + n), [r[j] for r in chunk[:n] for j in js]
+            yield range(row, row + n), _TextCells([r[j] for r in chunk[:n] for j in js], len(js))
         if n < len(chunk):
             at = row + n
             raise ParseError(f"row {at} has {len(chunk[n])} cells, expected {width}", row=at)
@@ -397,7 +541,10 @@ def _csv_cells(rows, width: int, js, row: int, step: int):
 
 def _numeric_cells(cells: list[str], rows: range, missing: str, name: str) -> np.ndarray:
     try:
-        vals = [math.nan if c == missing else float(c) for c in cells]
+        if missing in cells:
+            vals = [math.nan if c == missing else float(c) for c in cells]
+        else:  # map calls float() without a Python step per cell
+            vals = map(float, cells)
         vals = np.fromiter(vals, np.float64, len(cells))
         nan_rows = np.flatnonzero(np.isnan(vals)).tolist()
         if not np.isinf(vals).any() and all(cells[i] == missing for i in nan_rows):
@@ -442,10 +589,19 @@ def load_csv(
         if unknown := [name for name in wanted if name not in index]:
             raise SchemaError(f"unknown column {unknown[0]!r}")
         parts: dict[int, list[np.ndarray]] = {j: [] for j in sorted(map(index.get, wanted))}
+        numeric = [k for k, j in enumerate(parts) if schema[header[j]] == NUMERIC]
         bad = []  # (column, row, ParseError), raised once every row's width is checked
         for rows, cells in read(list(parts)):
+            done = cells.numbers(numeric) if numeric and missing_token == "" else {}
+            # a byte mask costs more than decoding a few columns read from bytes
+            rest = [k for k in range(len(parts)) if k not in done or 2 * len(done) < len(parts)]
+            flat = cells.strings(rest) if rest else []
+            strings = {k: flat[i :: len(rest)] for i, k in enumerate(rest) if k not in done}
             for k, (j, part) in enumerate(parts.items()):
-                name, column = header[j], cells[k :: len(parts)]
+                if k in done:
+                    part.append(done[k])
+                    continue
+                name, column = header[j], strings[k]
                 if schema[name] == CATEGORICAL:
                     column = [None if c == missing_token else c for c in column]
                     part.append(np.array(column, dtype=object))

@@ -732,6 +732,25 @@ class TestSynth:
         assert out.read_bytes() == (FIXTURES / "two_mode.csv").read_bytes()
         assert meta.read_bytes() == (FIXTURES / "two_mode_meta.json").read_bytes()
 
+    @pytest.mark.parametrize("out", [["--out", "-"], []])
+    def test_csv_to_stdout(self, out, tmp_path, capsys, monkeypatch):
+        """'-' or no --out writes the CSV to stdout, as the --out help says."""
+        monkeypatch.chdir(tmp_path)
+        meta = tmp_path / "meta.json"
+        code, text, err = run(capsys, "synth", "--spec-file", FIXTURES / "two_mode_spec.json",
+                              *out, "--meta-out", meta)
+        assert (code, err) == (0, "")
+        assert text.encode() == (FIXTURES / "two_mode.csv").read_bytes()
+        assert meta.read_bytes() == (FIXTURES / "two_mode_meta.json").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["meta.json"]
+
+    @pytest.mark.parametrize("out", [["--out", "-"], []])
+    def test_csv_and_meta_cannot_share_stdout(self, out, capsys):
+        code, text, err = run(capsys, "synth", "--spec-file", FIXTURES / "two_mode_spec.json",
+                              *out, "--meta-out", "-")
+        assert (code, text) == (1, "")
+        assert one_error_line(err) == "ConfigError"
+
     def test_meta_reports_mode_occupancy(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({
@@ -930,9 +949,21 @@ class TestConfigFile:
         assert plain[0] == 0
         assert run(capsys, command, "--config", cfg, *argv) == plain
 
-    def test_a_config_run_leaves_the_parser_unchanged(self, tmp_path, capsys, monkeypatch):
-        parser = cli.build_parser()
-        monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    def test_the_parser_is_built_once(self, tmp_path, capsys, monkeypatch):
+        """Every command of a process shares one parser, and a handler is
+        looked up when it runs, so patching it still takes effect."""
+        cli._parser()  # the shared parser is already built, or is built now
+        built = []
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or cli._Parser())
+        for _ in range(3):
+            assert self.extract(tmp_path, capsys, "n-grids = 5\n")[0] == 0
+        assert run(capsys, "extract", "--n-grids", "ten")[0] == 1
+        assert built == []
+        monkeypatch.setattr(cli, "_cmd_extract", lambda args: 7)
+        assert run(capsys, "extract", *self.FLAGS)[0] == 7
+
+    def test_a_config_run_leaves_the_parser_unchanged(self, tmp_path, capsys):
+        """The runs share one parser, which a config file's defaults must not change."""
         n_grids = [
             self.extract(tmp_path, capsys, text)[1]["config"]["n_grids"]
             for text in ("n-grids = 5\n", "n-grids = 6\n")
